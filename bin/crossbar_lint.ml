@@ -9,7 +9,7 @@ module Json = Crossbar_engine.Json
 let usage =
   "usage: crossbar_lint [options] [PATH ...]\n\
    \n\
-   Parses every .ml/.mli under the given paths (default: lib bin bench\n\
+   Parses every .ml/.mli under the given paths (default: lib bin\n\
    examples) with compiler-libs and enforces the R1-R6 invariants\n\
    documented in docs/LINT.md.  With --typed, additionally reads the\n\
    .cmt artifacts dune produced and runs the typed rules R7-R13\n\
@@ -33,7 +33,7 @@ let usage =
    \  --list-rules    print the rule table and exit\n\
    \  --help          show this message\n"
 
-let default_paths = [ "lib"; "bin"; "bench"; "examples" ]
+let default_paths = [ "lib"; "bin"; "examples" ]
 let default_config_file = "lint.json"
 
 let die message =

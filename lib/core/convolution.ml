@@ -47,7 +47,8 @@ module Logspace = Crossbar_numerics.Logspace
    list of result-sized lattices recycled by [Factor_tree.update
    ~recycle] and the leave-one-out sweep.  One arena exists per (context,
    domain) pair — reached through a [Domain.DLS] key, so combines issued
-   concurrently by a pool mapper never share scratch. *)
+   concurrently by band workers or sweep pool workers never share
+   scratch. *)
 module Arena = struct
   type t = {
     left : Lattice.t;
@@ -98,7 +99,6 @@ type context = {
   cap : int; (* min n1 n2: used bandwidth never exceeds either side *)
   w1 : Lattice.Grid.t;
   w2 : Lattice.Grid.t;
-  tile : int; (* kernel block edge, in lattice entries *)
   band_threshold : int; (* cap >= this: parallelise a single combine *)
   band_domains : int; (* bands (domains) a banded combine splits into *)
   banded_total : int Atomic.t; (* banded combines through this context *)
@@ -118,7 +118,10 @@ let weight_grid ~ports ~cap =
   done;
   g
 
-let default_tile = 64
+(* Kernel block edge, in lattice entries.  It only keeps the grid rows
+   the inner loop touches cache-resident and never changes a result, so
+   it is a constant rather than a knob. *)
+let tile = 64
 
 (* Measured on the Band_pool dispatch path (see DESIGN.md, "Combine
    kernels"): a pool fan-out costs ~0.1 ms cold and far less once the
@@ -146,15 +149,7 @@ let env_knob name =
             (Printf.sprintf "Convolution.context_of: %s=%S is not an integer"
                name text))
 
-let context_of ?tile ?combine_threshold ?band_domains ~inputs ~outputs () =
-  let tile =
-    match tile with
-    | Some t when t >= 1 -> t
-    | Some t ->
-        invalid_arg
-          (Printf.sprintf "Convolution.context_of: tile=%d must be >= 1" t)
-    | None -> default_tile
-  in
+let context_of ?combine_threshold ?band_domains ~inputs ~outputs () =
   let band_threshold =
     match combine_threshold with
     | Some t when t >= 1 -> t
@@ -183,7 +178,6 @@ let context_of ?tile ?combine_threshold ?band_domains ~inputs ~outputs () =
     cap;
     w1 = weight_grid ~ports:inputs ~cap;
     w2 = weight_grid ~ports:outputs ~cap;
-    tile;
     band_threshold;
     band_domains;
     banded_total = Atomic.make 0;
@@ -208,7 +202,7 @@ let shared_context_limit = 8
 
 let shared_context_lock = Mutex.create ()
 
-let shared_contexts : ((int * int * int * int * int) * context) list Atomic.t =
+let shared_contexts : ((int * int * int * int) * context) list Atomic.t =
   Atomic.make []
 
 let rec cache_take entries n =
@@ -226,7 +220,7 @@ let shared_context ~inputs ~outputs =
       | None -> default_band_threshold
     in
     let band_domains = Domains.recommended () in
-    let key = (inputs, outputs, default_tile, band_threshold, band_domains) in
+    let key = (inputs, outputs, band_threshold, band_domains) in
     let entries = Atomic.get shared_contexts in
     match List.assoc_opt key entries with
     | Some ctx ->
@@ -322,7 +316,7 @@ let load_chunked dst src k =
 
 (* Dense kernel (both strides 1): every (u, v) pair contributes, so the
    stride test and its integer division disappear from the inner loop.
-   Blocked over (output, v) tiles of edge [ctx.tile] so the grid rows
+   Blocked over (output, v) tiles of edge [tile] so the grid rows
    the inner loop touches stay cache-resident; each output [total]
    still accumulates its terms in strictly increasing [v] order — the
    v-blocks are visited in ascending order and the partial sum is parked
@@ -330,7 +324,6 @@ let load_chunked dst src k =
    sequence per output is exactly the reference kernel's. *)
 let kernel_dense ctx left right result lo hi =
   let w1 = ctx.w1 and w2 = ctx.w2 in
-  let tile = ctx.tile in
   (* lint: alloc=t0,v0,sum -- three scratch cells for the whole kernel *)
   let t0 = ref lo and v0 = ref 0 and sum = ref 0. in
   while !t0 <= hi do
@@ -432,10 +425,10 @@ let combine_banded ctx counter left right ~sa ~sb result =
    no chunks are borrowed, the common case); the borrowed chunks are
    credited back to the result's scale.  The summation order (increasing
    v) is fixed per output, so recombining the same operands is
-   bit-identical no matter which solve path — sequential, banded, or
-   pool-mapped — runs.  The result lattice comes from the arena's free
-   list when recycled nodes are available, so a warmed-up update loop
-   allocates nothing on the major heap.  [combine_into] threads the
+   bit-identical no matter which solve path — sequential or banded —
+   runs.  The result lattice comes from the arena's free list when
+   recycled nodes are available, so a warmed-up update loop allocates
+   nothing on the major heap.  [combine_into] threads the
    solve-local banded counter; the public [combine] attributes banded
    combines to the context's running total only. *)
 let combine_into ctx counter a b =
@@ -468,10 +461,10 @@ let combine_into ctx counter a b =
 let combine ctx a b = combine_into ctx ctx.banded_total a b
 
 (* The pre-kernel reference combine, kept verbatim as the bit-identity
-   oracle for the tiled and banded kernels (test_kernel and the bench
-   kernel section): checked accessors, per-term chunk application, no
-   arena, no tiling, no bands.  Unreachable from the hot roots, so the
-   allocation sanctions of the kernel path do not apply here. *)
+   oracle for the tiled and banded kernels (test_kernel): checked
+   accessors, per-term chunk application, no arena, no tiling, no bands.
+   Unreachable from the hot roots, so the allocation sanctions of the
+   kernel path do not apply here. *)
 let combine_naive ctx a b =
   let cap = ctx.cap in
   let sa = Lattice.stride a and sb = Lattice.stride b in
@@ -513,53 +506,6 @@ let combine_naive ctx a b =
   Lattice.normalize result;
   result
 
-(* The PR 9 banded dispatch, kept as the comparison baseline for the
-   bench band_latency section and the dispatch bit-identity tests: the
-   same arena/prechunk/kernel path as [combine], but the bands fan out
-   over freshly spawned domains instead of the persistent pool.  Always
-   bands when [band_domains > 1] (no threshold test — the caller is
-   measuring dispatch).  Like [combine_naive], unreachable from the hot
-   roots, so the kernel path's allocation sanctions do not apply. *)
-let combine_spawned ctx a b =
-  let sa = Lattice.stride a and sb = Lattice.stride b in
-  let arena = Domain.DLS.get ctx.arenas in
-  prechunk arena a b;
-  let ka = arena.Arena.ka and kb = arena.Arena.kb in
-  let left =
-    if ka = 0 then a
-    else begin
-      load_chunked arena.Arena.left a ka;
-      arena.Arena.left
-    end
-  in
-  let right =
-    if kb = 0 then b
-    else begin
-      load_chunked arena.Arena.right b kb;
-      arena.Arena.right
-    end
-  in
-  let result = Arena.acquire arena ~cap:ctx.cap ~stride:(gcd sa sb) in
-  let bands = ctx.band_domains in
-  if bands > 1 then begin
-    (* lint: guarded=ctx,left,right,result — bands write disjoint output rows; operands and grids are read-only during the kernel *)
-    let spawned =
-      Array.init (bands - 1) (fun i ->
-          let i = i + 1 in
-          Domain.spawn (fun () ->
-              let lo = band_lo ctx.cap bands i in
-              let hi = band_lo ctx.cap bands (i + 1) - 1 in
-              if lo <= hi then run_kernel ctx left right ~sa ~sb result lo hi))
-    in
-    let hi0 = band_lo ctx.cap bands 1 - 1 in
-    if hi0 >= 0 then run_kernel ctx left right ~sa ~sb result 0 hi0;
-    Array.iter Domain.join spawned
-  end
-  else run_kernel ctx left right ~sa ~sb result 0 ctx.cap;
-  Lattice.add_scale result (Lattice.scale a + Lattice.scale b + ka + kb);
-  Lattice.normalize result;
-  result
-
 (* Physical membership of [l] in [arr] from index [i] — the recycling
    guard of the leave-one-out sweep. *)
 let rec lattice_memq l arr i =
@@ -588,9 +534,7 @@ module Factor_tree = struct
     banded : int; (* how many of those ran the banded parallel kernel *)
   }
 
-  let sequential_map f n = Array.init n f
-
-  let build_levels ~map ctx counter leaves =
+  let build_levels ctx counter leaves =
     let combines = ref 0 in
     let acc = ref [ leaves ] in
     let current = ref leaves in
@@ -598,12 +542,12 @@ module Factor_tree = struct
       let level = !current in
       let n = Array.length level in
       let next =
-        map
+        Array.init
+          ((n + 1) / 2)
           (fun j ->
             if (2 * j) + 1 < n then
               combine_into ctx counter level.(2 * j) level.((2 * j) + 1)
             else level.(2 * j))
-          ((n + 1) / 2)
       in
       combines := !combines + (n / 2);
       acc := next :: !acc;
@@ -611,7 +555,7 @@ module Factor_tree = struct
     done;
     (Array.of_list (List.rev !acc), !combines)
 
-  let build ?(map = sequential_map) model =
+  let build model =
     let ctx =
       shared_context ~inputs:(Model.inputs model) ~outputs:(Model.outputs model)
     in
@@ -623,9 +567,9 @@ module Factor_tree = struct
     let num = Model.num_classes model in
     let leaves =
       if num = 0 then [| unit_profile ctx.cap |]
-      else map (fun r -> class_factor ctx model r) num
+      else Array.init num (fun r -> class_factor ctx model r)
     in
-    let levels, combines = build_levels ~map ctx counter leaves in
+    let levels, combines = build_levels ctx counter leaves in
     { model; ctx; levels; combines; banded = Atomic.get counter }
 
   let model t = t.model
@@ -881,7 +825,7 @@ let of_tree (tree : Factor_tree.t) =
   let measures = Measures.of_concurrencies ~model ~non_blocking ~concurrency in
   { model; ctx; tree; diag; log_omega = Lattice.log_scale h; measures }
 
-let solve ?map model = of_tree (Factor_tree.build ?map model)
+let solve model = of_tree (Factor_tree.build model)
 
 let solve_delta ?(recycle = false) ~previous model =
   let tree = Factor_tree.update ~recycle previous.tree model in
@@ -914,29 +858,6 @@ let recycle t =
     done
   done;
   Arena.release arena t.diag
-
-let solve_incremental ~previous ~class_index model =
-  let num_classes = Model.num_classes model in
-  if
-    Model.inputs model <> Model.inputs previous.model
-    || Model.outputs model <> Model.outputs previous.model
-  then invalid_arg "Convolution.solve_incremental: switch dimensions differ";
-  if num_classes <> Model.num_classes previous.model then
-    invalid_arg "Convolution.solve_incremental: class count differs";
-  if class_index < 0 || class_index >= num_classes then
-    invalid_arg "Convolution.solve_incremental: class index out of range";
-  let old_classes = Model.classes previous.model
-  and new_classes = Model.classes model in
-  for r = 0 to num_classes - 1 do
-    if r <> class_index && not (Traffic.equal old_classes.(r) new_classes.(r))
-    then
-      invalid_arg
-        (Printf.sprintf
-           "Convolution.solve_incremental: class %d also differs from the \
-            previous solve (only class %d may change)"
-           r class_index)
-  done;
-  solve_delta ~previous model
 
 let model t = t.model
 let measures t = t.measures

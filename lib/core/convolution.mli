@@ -34,7 +34,7 @@
     [Factor_tree.update ~recycle] and the leave-one-out sweep.  Arenas
     are reached through a [Domain.DLS] key held by the context, so
     combines issued concurrently — by the banded kernel's own domains or
-    an [Engine.Pool] mapper — never share scratch. *)
+    by solves on [Engine.Pool] workers — never share scratch. *)
 module Arena : sig
   type t
 
@@ -64,7 +64,7 @@ end
 
 type context
 (** Combine environment for one switch size: the precomputed weight
-    grids, kernel tile size, banding threshold and domain count, the
+    grids, banding threshold and domain count, the
     per-domain {!Arena} key and the banded-combine counter.
     {!Factor_tree.build} resolves its context through a bounded
     process-wide cache keyed on the dimensions and resolved knobs, so
@@ -79,15 +79,13 @@ val default_combine_threshold : int
     {!Band_pool} dispatch on the calibration hardware (DESIGN.md). *)
 
 val context_of :
-  ?tile:int ->
   ?combine_threshold:int ->
   ?band_domains:int ->
   inputs:int ->
   outputs:int ->
   unit ->
   context
-(** [tile] is the kernel block edge (default 64 entries);
-    [combine_threshold] the capacity at or above which a single combine
+(** [combine_threshold] is the capacity at or above which a single combine
     is banded across domains (default: the [CROSSBAR_COMBINE_THRESHOLD]
     environment variable, else 256 — calibrated against the persistent
     {!Band_pool} dispatch cost, see DESIGN.md); [band_domains] the
@@ -114,24 +112,15 @@ val combine : context -> Lattice.t -> Lattice.t -> Lattice.t
     result, banded across domains at or above the context's threshold.
     Operands are never mutated.  Each output accumulates its terms in
     strictly increasing [v], so the result is a bit-identical function
-    of the operands regardless of tile size, banding, or which domain
-    runs it — and equal to {!combine_naive} on every operand pair.
+    of the operands regardless of banding or which domain runs it — and
+    equal to {!combine_naive} on every operand pair.
     Operand capacities must equal the context's. *)
 
 val combine_naive : context -> Lattice.t -> Lattice.t -> Lattice.t
 (** The pre-kernel reference combine — checked accessors, per-term chunk
     application, fresh result, no tiling, no bands — kept as the
-    bit-identity oracle for {!combine} in tests and benchmarks.  Never
-    called by the solver. *)
-
-val combine_spawned : context -> Lattice.t -> Lattice.t -> Lattice.t
-(** The spawn-dispatch banded combine (one fresh domain per band, as
-    before the persistent {!Band_pool}): the same arena, prechunk and
-    kernel path as {!combine}, but every combine is banded (no
-    threshold test) over [Domain.spawn] whenever the context has
-    [band_domains > 1].  Bit-identical to {!combine}; kept only as the
-    dispatch-latency baseline for the bench [band_latency] section and
-    the dispatch bit-identity tests.  Never called by the solver. *)
+    bit-identity oracle for {!combine} in tests.  Never called by the
+    solver. *)
 
 (** The balanced combine tree over tilted class factors.  Leaves are the
     per-class profiles [C_r] in class order; each internal node caches
@@ -141,13 +130,9 @@ val combine_spawned : context -> Lattice.t -> Lattice.t -> Lattice.t
 module Factor_tree : sig
   type t
 
-  val build : ?map:((int -> Lattice.t) -> int -> Lattice.t array) -> Model.t -> t
-  (** Builds all leaves, then one level at a time bottom-up.  [map]
-      (default: sequential [Array.init]) evaluates the independent node
-      constructions of each level and may run them in parallel — e.g.
-      [Engine.Sweep.parallel_solve] passes a {!Engine.Pool} mapper.  The
-      result is a pure function of the model alone: any [map] that
-      returns element [i] = [f i] yields bit-identical trees.
+  val build : Model.t -> t
+  (** Builds all leaves, then one level at a time bottom-up.  The result
+      is a pure function of the model alone.
       @raise Failure if a single recurrence step overflows even after
       rescaling (pathological bandwidths); use {!Mva} in that regime. *)
 
@@ -211,10 +196,9 @@ end
 type t
 (** A solved model: the factor tree and the measure diagonal. *)
 
-val solve : ?map:((int -> Lattice.t) -> int -> Lattice.t array) -> Model.t -> t
-(** Builds the factor tree (see {!Factor_tree.build}, including the
-    parallel [map] hook) and derives all measures from one shared
-    diagonal pass.
+val solve : Model.t -> t
+(** Builds the factor tree (see {!Factor_tree.build}) and derives all
+    measures from one shared diagonal pass.
     @raise Failure as {!Factor_tree.build}. *)
 
 val solve_delta : ?recycle:bool -> previous:t -> Model.t -> t
@@ -241,15 +225,6 @@ val recycle : t -> unit
     must guarantee nothing else references [t]: e.g. the serve registry
     recycles an evicted tree only after the batch that evicted it has
     fully drained. *)
-
-val solve_incremental : previous:t -> class_index:int -> Model.t -> t
-(** [solve_incremental ~previous ~class_index model] is {!solve_delta}
-    restricted to the single changed class [class_index] — kept for
-    callers that want the stricter validation.
-    @raise Invalid_argument if the switch dimensions or class count
-    differ, [class_index] is out of range, or any {e other} class
-    differs from [previous]'s model (exact, bit-level comparison).
-    @raise Failure as {!solve}. *)
 
 val model : t -> Model.t
 

@@ -82,9 +82,9 @@ val class_delta : t -> t -> int list option
 val single_class_delta : t -> t -> int option
 (** [single_class_delta a b] is [Some r] when {!class_delta} reports
     exactly the one changed class [r]; [None] otherwise — including when
-    the models are structurally identical.  Kept for callers that only
-    tolerate one moving class, e.g. {!Convolution.solve_incremental}
-    validation. *)
+    the models are structurally identical.  For callers that only
+    tolerate one moving class; {!Convolution.solve_delta} accepts any
+    subset. *)
 
 val state_space : t -> Crossbar_markov.State_space.t
 (** The paper's [Gamma(N)]: all occupancy vectors with

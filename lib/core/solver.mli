@@ -34,7 +34,7 @@ type solution = {
 
 val solution_of_convolution : Convolution.t -> solution
 (** Packages an already-solved convolution lattice (e.g. one produced by
-    {!Convolution.solve_incremental}) as a {!solution}, without
+    {!Convolution.solve_delta}) as a {!solution}, without
     re-running anything. *)
 
 val solve_full : ?algorithm:algorithm -> Model.t -> solution

@@ -1,11 +1,11 @@
 (** Minimal JSON tree, writer and validating parser.
 
-    The telemetry snapshots the engine emits must be consumable by any
-    downstream tooling, so the writer produces strict RFC 8259 output
-    (non-finite floats are emitted as [null]) and the parser exists so
-    the bench harness can re-read what it just wrote and fail loudly on
-    malformed output instead of shipping a corrupt snapshot.  No
-    third-party dependency is involved. *)
+    The telemetry and serve responses the engine emits must be
+    consumable by any downstream tooling, so the writer produces strict
+    RFC 8259 output (non-finite floats are emitted as [null]); the
+    parser reads serve requests and lets tests and tools re-read what
+    was written and fail loudly on malformed output.  No third-party
+    dependency is involved. *)
 
 type t =
   | Null

@@ -158,11 +158,3 @@ let solve_model ?cache ?telemetry ?algorithm ?label model =
   let outcome = solve_point cache (point ?algorithm ?label model) in
   record_outcome telemetry outcome;
   outcome.solution
-
-let parallel_solve ?domains model =
-  (* The factor-tree build evaluates each level's nodes independently;
-     handing Pool.run in as the mapper parallelises leaf construction
-     and each combine level.  Pool.run returns element i = f i whatever
-     the schedule, so the tree — and hence every measure — is
-     bit-identical to a sequential Convolution.solve. *)
-  Convolution.solve ~map:(fun f n -> Pool.run ?domains ~tasks:n f) model

@@ -73,13 +73,3 @@ val solve_model :
   Crossbar.Solver.solution
 (** One-point convenience used by callers that interleave solves with
     other work but still want caching and telemetry. *)
-
-val parallel_solve : ?domains:int -> Crossbar.Model.t -> Crossbar.Convolution.t
-(** A single convolution solve whose factor-tree build fans out across a
-    {!Pool}: leaves (one per class) and each combine level are
-    constructed in parallel, which pays off at large class counts [R]
-    where leaf construction dominates.  Bit-identical to
-    {!Crossbar.Convolution.solve} for every domain count (the mapper
-    only changes {e where} each node is computed, never its operands).
-    [domains] defaults to {!Pool.recommended_domains}.  Do not call from
-    inside another pool task (pools do not nest). *)

@@ -4,8 +4,8 @@
     took on the wall clock, how much lattice work it implied, how many
     dynamic rescales the convolution needed, and whether the result came
     from the cache.  Records render to the JSON schema documented in
-    DESIGN.md ("Telemetry schema") and consumed by
-    [bench/main.exe --json]. *)
+    DESIGN.md ("Telemetry schema"), which the serve daemon's [stats] op
+    embeds. *)
 
 type solve = {
   label : string;  (** caller-supplied point label *)

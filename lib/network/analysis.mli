@@ -19,7 +19,7 @@
       At [stages = 1] this is exact.
 
     Both are validated against the event-driven network simulator
-    ({!Sim}); see the [multistage] section of the benchmark harness. *)
+    ({!Sim}); see [crossbar_tables multistage]. *)
 
 type result = {
   end_to_end_blocking : float;

@@ -11,8 +11,8 @@
     Determinism: responses come back index-aligned with the request
     array, and each group's work depends only on the registry state and
     its own requests, so a batch's responses are bit-identical to
-    serving the same requests one at a time — the property the serve
-    bench gates at 1 ulp. *)
+    serving the same requests one at a time — the property test_serve
+    and perfbench's serve-admit oracle check byte for byte. *)
 
 type outcome = {
   responses : Crossbar_engine.Json.t array;

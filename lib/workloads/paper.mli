@@ -1,6 +1,6 @@
 (** The exact workloads behind every figure and table of Stirpe & Pinsky
-    (SIGCOMM '92) — the single source of truth shared by the benchmark
-    harness, the regression tests and the examples.
+    (SIGCOMM '92) — the single source of truth shared by the
+    [crossbar_tables] CLI, the regression tests and the examples.
 
     Figures plot blocking probability against square switch size
     [N = N1 = N2]; tables print parameter sets and revenue results.  See

@@ -1,5 +1,5 @@
 (** The numbers {e printed} in the paper, transcribed for side-by-side
-    comparison in the benchmark harness and EXPERIMENTS.md.
+    comparison in [crossbar_tables] and EXPERIMENTS.md.
 
     These are the published values, not what the exact model yields — see
     the Table 2 forensics in EXPERIMENTS.md: the published computation

@@ -1,5 +1,5 @@
-(** Rendering of the paper's figures and tables as text, shared by the
-    [crossbar_tables] CLI and the benchmark harness.
+(** Rendering of the paper's figures and tables as text, for the
+    [crossbar_tables] CLI.
 
     Each [print_*] writes a self-describing TSV block: the series the
     corresponding paper figure plots, or the table rows with this

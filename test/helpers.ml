@@ -83,6 +83,30 @@ let mixed_model ~inputs ~outputs =
         bernoulli ~name:"bernoulli" ~mu:2.0 ~sources:5 ~rate:0.08 ();
       ]
 
+(* Planning-size models: R classes on a [size]-port square switch.
+   Background class [i] is Pascal (bandwidth 2) when [i mod 3 = 1], else
+   Poisson of bandwidth 1 or 2.  [single_class_model] sweeps one Poisson
+   class appended last; [multi_class_model] moves classes 0 and 1
+   jointly (Poisson, bandwidths 1 and 2) and keeps the rest fixed. *)
+let background_class ~prefix i =
+  let name = Printf.sprintf "%s%d" prefix i in
+  if i mod 3 = 1 then pascal ~name ~bandwidth:2 ~alpha:0.04 ~beta:0.01 ()
+  else poisson ~name ~bandwidth:((i mod 2) + 1) 0.06
+
+let single_class_model ~classes ~size load =
+  Crossbar.Model.square ~size
+    ~classes:
+      (List.init (classes - 1) (background_class ~prefix:"bg")
+      @ [ poisson ~name:"swept" load ])
+
+let multi_class_model ~classes ~size load =
+  Crossbar.Model.square ~size
+    ~classes:
+      (List.init classes (fun i ->
+           if i = 0 then poisson ~name:"md0" load
+           else if i = 1 then poisson ~name:"md1" ~bandwidth:2 (0.8 *. load)
+           else background_class ~prefix:"md" i))
+
 (* Random small models for property-based cross-validation. *)
 let random_model_gen =
   let open QCheck2.Gen in

@@ -601,7 +601,7 @@ let test_clock_elapsed_clamped () =
 let sample_json =
   Json.Assoc
     [
-      ("schema", Json.String "crossbar-bench/1");
+      ("schema", Json.String "crossbar-sample/1");
       ("count", Json.Int 3);
       ("rate", Json.Float 0.062992125984251968);
       ("ok", Json.Bool true);
@@ -655,8 +655,8 @@ let test_telemetry_json_shape () =
     (Sweep.run ~domains:1 ~cache ~telemetry
        [ Sweep.point ~label:"a" model; Sweep.point ~label:"b" model ]);
   let json = Telemetry.to_json ~cache ~domains:1 telemetry in
-  (* The emitted document must re-parse and carry the schema fields the
-     bench snapshot consumer checks for. *)
+  (* The emitted document must re-parse and carry the schema fields
+     DESIGN.md documents. *)
   (match Json.of_string (Json.to_string json) with
   | Ok reparsed -> check_bool "reparses" true (reparsed = json)
   | Error m -> Alcotest.failf "telemetry json malformed: %s" m);

@@ -1,9 +1,9 @@
 (* The factor tree is the convolution solver: every solve walks the same
-   balanced combine tree, so a full build, a delta re-solve of any subset
-   of classes, and a parallel build must agree bit for bit — on every
-   measure, every log G lattice entry and the rescale count.  The
-   leave-one-out sweep and the diagonal depth walk are then cross-checked
-   against the independent oracles (Occupancy, Brute_force, the legacy
+   balanced combine tree, so a full build and a delta re-solve of any
+   subset of classes must agree bit for bit — on every measure, every
+   log G lattice entry and the rescale count.  The leave-one-out sweep
+   and the diagonal depth walk are then cross-checked against the
+   independent oracles (Occupancy, Brute_force, the legacy
    two-solve shadow-cost path). *)
 
 module Conv = Crossbar.Convolution
@@ -16,7 +16,6 @@ module Revenue = Crossbar.Revenue
 module Occupancy = Crossbar.Occupancy
 module Brute = Crossbar.Brute
 module State_space = Crossbar_markov.State_space
-module Sweep = Crossbar_engine.Sweep
 
 let bits = Int64.bits_of_float
 let floats_identical a b = Int64.equal (bits a) (bits b)
@@ -217,22 +216,6 @@ let test_update_validation () =
   Helpers.check_raises_invalid "leaf index out of range" (fun () ->
       ignore (Tree.leaf tree 8))
 
-(* --- parallel build: the pool mapper changes nothing --- *)
-
-let test_parallel_solve_bit_identical () =
-  List.iter
-    (fun (label, model) ->
-      let full = Conv.solve model in
-      for domains = 1 to 4 do
-        let par = Sweep.parallel_solve ~domains model in
-        check_solved (Printf.sprintf "%s domains=%d" label domains) model full
-          par
-      done)
-    [
-      ("mixed 5x4", Helpers.mixed_model ~inputs:5 ~outputs:4);
-      ("eight classes", n_class_model 8);
-    ]
-
 (* --- the depth walk: all reduced switches from one diagonal --- *)
 
 let test_depth_zero_matches_measures () =
@@ -278,6 +261,25 @@ let shadow_cost_without_unfittable model ~weights ~ports =
        (Revenue.reduced_model sub_model ~ports)
        ~weights:sub_weights
 
+(* R-class mixed models on a 32-port switch: distinct loads per class and
+   bandwidths cycling 1-3, so the two-solve path needs several distinct
+   reduced switches. *)
+let gradient_models () =
+  List.map
+    (fun classes ->
+      ( Printf.sprintf "gradient R=%d 32x32" classes,
+        Model.square ~size:32
+          ~classes:
+            (List.init classes (fun i ->
+                 let name = Printf.sprintf "g%d" i in
+                 if i mod 3 = 1 then
+                   Helpers.pascal ~name ~bandwidth:2 ~alpha:0.05 ~beta:0.01 ()
+                 else
+                   Helpers.poisson ~name
+                     ~bandwidth:((i mod 3) + 1)
+                     (0.04 +. (0.01 *. float_of_int i)))) ))
+    [ 2; 4; 8 ]
+
 let test_shadow_costs_match_legacy () =
   List.iter
     (fun (label, model) ->
@@ -302,7 +304,7 @@ let test_shadow_costs_match_legacy () =
             (Printf.sprintf "%s.class %d shadow cost" label r)
             expected delta)
         batched)
-    (Helpers.validation_models ())
+    (Helpers.validation_models () @ gradient_models ())
 
 let test_shadow_cost_emptied_switch () =
   (* Reducing by the fat class's bandwidth empties the switch: the
@@ -527,8 +529,6 @@ let () =
         [
           Helpers.qcheck prop_delta_matches_full;
           Helpers.qcheck prop_delta_matches_full_rescaled;
-          Helpers.case "parallel build, domains 1..4"
-            test_parallel_solve_bit_identical;
         ] );
       ( "combine counts",
         [

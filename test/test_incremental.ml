@@ -1,12 +1,14 @@
 (* Bit-identity of the incremental solve layer.
 
-   The contract under test is exact: Convolution.solve_incremental must
+   The contract under test is exact: Convolution.solve_delta must
    reproduce Convolution.solve bit for bit — every measure, every log G
    lattice entry, the rescale count — because the sweep cache files both
    under the same key and callers must not be able to tell hits, full
    solves and incremental solves apart.  Likewise Sweep.run with and
    without ~incremental, at any domain count, and run_replications at
-   any domain count. *)
+   any domain count.  Random models and random class subsets are
+   test_factor_tree's properties; this suite pins the deterministic
+   cases and the engine-level sweeps. *)
 
 module Conv = Crossbar.Convolution
 module Model = Crossbar.Model
@@ -81,61 +83,6 @@ let check_solved label model full inc =
   check_measures label (Conv.measures full) (Conv.measures inc);
   check_lattice label model full inc
 
-(* --- property: incremental = full on random models and perturbations --- *)
-
-let perturbed_pair_gen =
-  let open QCheck2.Gen in
-  let* model = Helpers.random_model_gen in
-  let* class_index = int_bound (Model.num_classes model - 1) in
-  let* factor = float_range 0.3 3.0 in
-  let changed =
-    Model.map_class model class_index (fun c -> Traffic.scale_load c factor)
-  in
-  return (model, class_index, changed)
-
-let prop_incremental_matches_full =
-  QCheck2.Test.make ~count:60
-    ~name:"solve_incremental bit-identical to solve (random models)"
-    perturbed_pair_gen
-    (fun (model, class_index, changed) ->
-      let previous = Conv.solve model in
-      let inc = Conv.solve_incremental ~previous ~class_index changed in
-      let full = Conv.solve changed in
-      check_solved "random" changed full inc;
-      true)
-
-(* Same property in the dynamic-rescaling regime: loads high enough that
-   Section 6 rescaling fires (rescale_count > 0) on partial products. *)
-let rescaling_pair_gen =
-  let open QCheck2.Gen in
-  let* size = int_range 24 36 in
-  let* rate = float_range 1e8 1e12 in
-  let* factor = float_range 0.5 2.0 in
-  let classes rate =
-    [
-      Helpers.poisson ~name:"hot" rate;
-      Helpers.pascal ~name:"warm" ~bandwidth:2 ~alpha:0.2 ~beta:0.1 ();
-    ]
-  in
-  let model = Model.square ~size ~classes:(classes rate) in
-  let changed =
-    Model.map_class model 0 (fun c -> Traffic.scale_load c factor)
-  in
-  return (model, changed)
-
-let prop_incremental_matches_full_rescaled =
-  QCheck2.Test.make ~count:10
-    ~name:"solve_incremental bit-identical under dynamic rescaling"
-    rescaling_pair_gen
-    (fun (model, changed) ->
-      let previous = Conv.solve model in
-      if Conv.rescale_count previous = 0 then
-        QCheck2.Test.fail_report "expected rescaling to fire";
-      let inc = Conv.solve_incremental ~previous ~class_index:0 changed in
-      let full = Conv.solve changed in
-      check_solved "rescaled" changed full inc;
-      true)
-
 (* --- deterministic cases --- *)
 
 let test_rescale_identity () =
@@ -145,7 +92,7 @@ let test_rescale_identity () =
   let previous = Conv.solve model in
   Helpers.check_bool "rescaling fired" true (Conv.rescale_count previous > 0);
   let changed = Model.map_class model 0 (fun c -> Traffic.scale_load c 1.5) in
-  let inc = Conv.solve_incremental ~previous ~class_index:0 changed in
+  let inc = Conv.solve_delta ~previous changed in
   let full = Conv.solve changed in
   Helpers.check_bool "rescaling still fires" true (Conv.rescale_count full > 0);
   check_solved "rescale" changed full inc
@@ -168,7 +115,7 @@ let test_bandwidth_change () =
   | Some 1 -> ()
   | _ -> Alcotest.fail "bandwidth change not detected as a class-1 delta");
   let previous = Conv.solve base in
-  let inc = Conv.solve_incremental ~previous ~class_index:1 changed in
+  let inc = Conv.solve_delta ~previous changed in
   let full = Conv.solve changed in
   check_solved "bandwidth" changed full inc
 
@@ -176,30 +123,6 @@ let test_single_class_delta_identical_is_none () =
   let model = Helpers.mixed_model ~inputs:5 ~outputs:4 in
   Helpers.check_bool "identical models give None" true
     (Model.single_class_delta model model = None)
-
-let test_invalid_arguments () =
-  let base =
-    Model.square ~size:4
-      ~classes:
-        [ Helpers.poisson ~name:"a" 0.3; Helpers.poisson ~name:"b" 0.2 ]
-  in
-  let previous = Conv.solve base in
-  Helpers.check_raises_invalid "dimension mismatch" (fun () ->
-      let wider =
-        Model.create ~inputs:5 ~outputs:4
-          ~classes:(Array.to_list (Model.classes base))
-      in
-      Conv.solve_incremental ~previous ~class_index:0 wider);
-  Helpers.check_raises_invalid "two classes changed" (fun () ->
-      let both =
-        Model.map_class
-          (Model.map_class base 0 (fun c -> Traffic.scale_load c 2.0))
-          1
-          (fun c -> Traffic.scale_load c 2.0)
-      in
-      Conv.solve_incremental ~previous ~class_index:0 both);
-  Helpers.check_raises_invalid "class index out of range" (fun () ->
-      Conv.solve_incremental ~previous ~class_index:2 base)
 
 (* --- sweep engine: ~incremental and domain count change nothing --- *)
 
@@ -230,7 +153,38 @@ let check_outcomes label (a : Sweep.outcome array) (b : Sweep.outcome array) =
       check_measures (field "measures") (Sweep.measures x) (Sweep.measures y))
     a
 
+(* Full vs incremental at planning size: 50 load points on a 48-port
+   switch, one domain each, fresh caches, at R = 2, 4 and 8 classes.
+   Every point after the first must chain off its predecessor. *)
+let check_planning_sweep label points =
+  let full = Sweep.run ~domains:1 ~cache:(Cache.create ()) points in
+  let inc =
+    Sweep.run ~domains:1 ~cache:(Cache.create ()) ~incremental:true points
+  in
+  check_outcomes label full inc;
+  Array.iteri
+    (fun i (o : Sweep.outcome) ->
+      Helpers.check_bool
+        (Printf.sprintf "%s point %d from_incremental" label i)
+        (i > 0) o.Sweep.from_incremental)
+    inc
+
+let planning_classes = [ 2; 4; 8 ]
+
+let planning_points ~classes model_of_load =
+  List.init 50 (fun i ->
+      let load = 0.05 +. (0.01 *. float_of_int i) in
+      Sweep.point ~algorithm:Solver.Convolution
+        ~label:(Printf.sprintf "R=%d load=%.2f" classes load)
+        (model_of_load ~classes ~size:48 load))
+
 let test_sweep_incremental_bit_identical () =
+  List.iter
+    (fun classes ->
+      check_planning_sweep
+        (Printf.sprintf "single-class R=%d" classes)
+        (planning_points ~classes Helpers.single_class_model))
+    planning_classes;
   let points = load_sweep_points 12 in
   let baseline = Sweep.run ~domains:1 ~cache:(Cache.create ()) points in
   let inc1 =
@@ -273,6 +227,12 @@ let multi_class_sweep_points count =
              ]))
 
 let test_sweep_multi_class_chain () =
+  List.iter
+    (fun classes ->
+      check_planning_sweep
+        (Printf.sprintf "multi-class R=%d" classes)
+        (planning_points ~classes Helpers.multi_class_model))
+    planning_classes;
   let points = multi_class_sweep_points 10 in
   (match points with
   | first :: second :: _ ->
@@ -305,34 +265,54 @@ let check_estimates label (a : Sim.estimate array) (b : Sim.estimate array) =
         x.Sim.halfwidth y.Sim.halfwidth)
     a
 
+let check_replications label ~replications ~domains config =
+  let sequential = Sim.run_replications ~domains:1 ~replications config in
+  let parallel = Sim.run_replications ~domains ~replications config in
+  let field name = Printf.sprintf "%s domains=%d %s" label domains name in
+  Helpers.check_int (field "replications") sequential.Sim.replications
+    parallel.Sim.replications;
+  check_estimates (field "time_congestion") sequential.Sim.rep_time_congestion
+    parallel.Sim.rep_time_congestion;
+  check_estimates (field "call_congestion") sequential.Sim.rep_call_congestion
+    parallel.Sim.rep_call_congestion;
+  check_estimates (field "concurrency") sequential.Sim.rep_concurrency
+    parallel.Sim.rep_concurrency
+
 let test_replications_domain_independent () =
   let model = Helpers.mixed_model ~inputs:5 ~outputs:4 in
-  let config =
+  check_replications "mixed 5x4" ~replications:4 ~domains:3
     {
       (Sim.default_config model) with
       horizon = 500.;
       warmup = 50.;
       batches = 3;
-    }
+    };
+  (* Eight replications of a 6x6 Poisson + Pascal switch, split over two
+     and over three domains (uneven shares). *)
+  let model =
+    Model.square ~size:6
+      ~classes:
+        [
+          Helpers.poisson ~name:"p" 0.4;
+          Helpers.pascal ~name:"q" ~bandwidth:2 ~alpha:0.1 ~beta:0.05 ();
+        ]
   in
-  let sequential = Sim.run_replications ~domains:1 ~replications:4 config in
-  let parallel = Sim.run_replications ~domains:3 ~replications:4 config in
-  Helpers.check_int "replications" sequential.Sim.replications
-    parallel.Sim.replications;
-  check_estimates "time_congestion" sequential.Sim.rep_time_congestion
-    parallel.Sim.rep_time_congestion;
-  check_estimates "call_congestion" sequential.Sim.rep_call_congestion
-    parallel.Sim.rep_call_congestion;
-  check_estimates "concurrency" sequential.Sim.rep_concurrency
-    parallel.Sim.rep_concurrency
+  List.iter
+    (fun domains ->
+      check_replications "6x6" ~replications:8 ~domains
+        {
+          (Sim.default_config model) with
+          horizon = 2e3;
+          warmup = 100.;
+          batches = 5;
+        })
+    [ 2; 3 ]
 
 let () =
   Alcotest.run "incremental"
     [
       ( "bit-identity",
         [
-          Helpers.qcheck prop_incremental_matches_full;
-          Helpers.qcheck prop_incremental_matches_full_rescaled;
           Helpers.case "rescaling regime, deterministic" test_rescale_identity;
           Helpers.case "bandwidth change re-solves one factor"
             test_bandwidth_change;
@@ -341,8 +321,6 @@ let () =
         [
           Helpers.case "identical models are not a delta"
             test_single_class_delta_identical_is_none;
-          Helpers.case "solve_incremental rejects bad inputs"
-            test_invalid_arguments;
         ] );
       ( "engine",
         [

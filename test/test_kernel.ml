@@ -2,9 +2,10 @@
    kernel, the strided kernel, the banded parallel dispatch and the
    arena-recycled storage must all be bitwise-invisible — every result
    identical to the reference combine ([Convolution.combine_naive]) on
-   every operand pair, in every rescaling regime, for every tile size
-   and domain count.  These suites pin that contract, the one-pass
-   [Lattice.normalize], and the zero-allocation arena plateau. *)
+   every operand pair, in every rescaling regime, at every capacity
+   relative to the fixed kernel block edge and for every domain count.
+   These suites pin that contract, the one-pass [Lattice.normalize],
+   and the zero-allocation arena plateau. *)
 
 module Conv = Crossbar.Convolution
 module Tree = Crossbar.Convolution.Factor_tree
@@ -40,8 +41,8 @@ let make_profile ~cap ~stride ~mag seed =
   done;
   l
 
-let context ?tile ?threshold ?domains cap =
-  Conv.context_of ?tile ?combine_threshold:threshold ?band_domains:domains
+let context ?threshold ?domains cap =
+  Conv.context_of ?combine_threshold:threshold ?band_domains:domains
     ~inputs:cap ~outputs:(cap + 3) ()
 
 let check_same_lattice label reference candidate =
@@ -64,10 +65,11 @@ let check_combine_matches_naive label ctx a b =
 
 (* ---------- tiled kernel vs the reference combine ---------- *)
 
+(* Capacities up to 160 span one, two and a partial third block of the
+   kernel's 64-entry tile. *)
 let operand_gen =
   let open QCheck2.Gen in
-  let* cap = int_range 4 40 in
-  let* tile = int_range 1 17 in
+  let* cap = int_range 4 160 in
   let* sa = oneofl [ 1; 1; 1; 2; 3 ] in
   let* sb = oneofl [ 1; 1; 2; 3 ] in
   (* mag 0: plain regime.  mag ~123 per operand: the product overflows
@@ -77,47 +79,55 @@ let operand_gen =
      one-pass chunk application too. *)
   let* mag = oneofl [ 0; 0; 123; 245 ] in
   let* seed = int_range 1 1_000_000 in
-  return (cap, tile, sa, sb, mag, seed)
+  return (cap, sa, sb, mag, seed)
 
 let combine_matches_naive =
   QCheck2.Test.make ~name:"combine is bit-identical to combine_naive"
-    ~count:120 operand_gen (fun (cap, tile, sa, sb, mag, seed) ->
-      let ctx = context ~tile cap in
+    ~count:120 operand_gen (fun (cap, sa, sb, mag, seed) ->
+      let ctx = context cap in
       let a = make_profile ~cap ~stride:sa ~mag seed in
       let b = make_profile ~cap ~stride:sb ~mag (seed + 1) in
       check_combine_matches_naive
-        (Printf.sprintf "cap=%d tile=%d sa=%d sb=%d mag=%d" cap tile sa sb
-           mag)
+        (Printf.sprintf "cap=%d sa=%d sb=%d mag=%d" cap sa sb mag)
         ctx a b;
       true)
 
-(* Capacities straddling the tile boundary: cap mod tile in {-1, 0, +1}
-   exercises the partial final block of both tile loops. *)
+(* A lattice holds cap + 1 entries, so caps 63 and 127 fill exactly one
+   and two 64-entry blocks, and 64, 65, 128 and 129 add a one- or
+   two-entry final block: the partial final block of both tile loops.
+   Cap 256, four blocks and a one-entry tail, sits at the default
+   banding threshold; one band keeps it on the sequential kernel. *)
+let block_edge_caps = [ 63; 64; 65; 127; 128; 129 ]
+
 let test_tile_boundaries () =
-  let tile = 8 in
   List.iter
     (fun cap ->
       List.iter
         (fun mag ->
-          let ctx = context ~tile cap in
+          let ctx = context ~domains:1 cap in
           let a = make_profile ~cap ~stride:1 ~mag 11 in
           let b = make_profile ~cap ~stride:1 ~mag 12 in
           check_combine_matches_naive
-            (Printf.sprintf "boundary cap=%d tile=%d mag=%d" cap tile mag)
+            (Printf.sprintf "boundary cap=%d mag=%d" cap mag)
             ctx a b)
         [ 0; 123 ])
-    [ 15; 16; 17 ]
+    (block_edge_caps @ [ 256 ])
 
+(* The same block edges with a strided operand and with single entries
+   near the rescale threshold, where the result also needs normalize's
+   one-pass chunk application. *)
 let test_degenerate_tiles () =
-  let cap = 13 in
-  let a = make_profile ~cap ~stride:1 ~mag:0 21 in
-  let b = make_profile ~cap ~stride:2 ~mag:0 22 in
   List.iter
-    (fun tile ->
-      check_combine_matches_naive
-        (Printf.sprintf "tile=%d" tile)
-        (context ~tile cap) a b)
-    [ 1; 13; 64; 1000 ]
+    (fun cap ->
+      List.iter
+        (fun (sb, mag) ->
+          let a = make_profile ~cap ~stride:1 ~mag 21 in
+          let b = make_profile ~cap ~stride:sb ~mag 22 in
+          check_combine_matches_naive
+            (Printf.sprintf "cap=%d sb=%d mag=%d" cap sb mag)
+            (context cap) a b)
+        [ (2, 0); (1, 245) ])
+    block_edge_caps
 
 (* ---------- banded parallel dispatch ---------- *)
 
@@ -235,8 +245,7 @@ let test_pool_degenerate () =
 
 (* Operand capacities straddling the new default threshold: below it the
    combine stays sequential, at or above it the pool dispatch runs — and
-   either way the result must match the reference kernel and the
-   spawn-per-band oracle bit for bit. *)
+   either way the result must match the reference kernel bit for bit. *)
 let threshold_crossover_gen =
   let open QCheck2.Gen in
   let* cap = int_range 250 266 in
@@ -258,9 +267,7 @@ let banded_bit_identity_at_threshold =
       in
       let banded = Conv.combine ctx a b in
       let naive = Conv.combine_naive ctx a b in
-      let spawned = Conv.combine_spawned ctx a b in
       check_same_lattice (label ^ " vs naive") naive banded;
-      check_same_lattice (label ^ " vs spawned") naive spawned;
       Helpers.check_int
         (label ^ ": banded exactly when cap crosses the threshold")
         (if cap >= threshold then 1 else 0)
@@ -408,8 +415,6 @@ let test_normalize_non_finite () =
 let test_knob_validation () =
   (* Every rejection names the offending knob and its value — a deploy
      log must say what was wrong, not just that something was. *)
-  Helpers.check_invalid_contains "tile 0" ~substring:"tile=0" (fun () ->
-      Conv.context_of ~tile:0 ~inputs:4 ~outputs:4 ());
   Helpers.check_invalid_contains "threshold 0"
     ~substring:"combine_threshold=0" (fun () ->
       Conv.context_of ~combine_threshold:0 ~inputs:4 ~outputs:4 ());

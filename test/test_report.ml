@@ -2,8 +2,8 @@ open Helpers
 module Report = Crossbar_workloads.Report
 module Paper = Crossbar_workloads.Paper
 
-(* Smoke tests for the rendering layer shared by the CLI and the bench
-   harness: each section must produce well-formed TSV with the expected
+(* Smoke tests for the rendering layer behind the crossbar_tables CLI:
+   each section must produce well-formed TSV with the expected
    row structure (the numeric content is pinned elsewhere). *)
 
 let render f = Format.asprintf "%t" f

@@ -10,6 +10,7 @@ module Traffic = Crossbar.Traffic
 module Convolution = Crossbar.Convolution
 module Solver = Crossbar.Solver
 module Measures = Crossbar.Measures
+module Prob = Crossbar_numerics.Prob
 
 let small_model () =
   Model.square ~size:8
@@ -316,23 +317,104 @@ let mixed_stream model =
     request 6 (Protocol.Blocking { tree = "t" });
   |]
 
-let test_batched_equals_one_at_a_time () =
-  let model = small_model () in
-  let requests = mixed_stream model in
+(* An admission controller tracking a drifting load on one hot tree: a
+   solve of an R-class 32-port model, then ten rounds of a class-0
+   delta, blocking, shadow_costs and admit.  Each request comes paired
+   with the model state the tree holds when it is served. *)
+let admission_stream ~classes =
+  let model0 = multi_class_model ~classes ~size:32 0.05 in
+  let weights = Array.init classes (fun r -> 1.0 /. float_of_int (r + 1)) in
+  let stream = ref [] and current = ref model0 in
+  let push query =
+    stream := (request (List.length !stream) query, !current) :: !stream
+  in
+  push (Protocol.Solve { tree = "t"; model = model0 });
+  for i = 1 to 10 do
+    let alpha = 0.05 +. (0.002 *. float_of_int i) in
+    current := Model.map_class !current 0 (fun c -> Traffic.with_alpha c alpha);
+    push
+      (Protocol.Delta
+         {
+           tree = "t";
+           changes =
+             [ { Protocol.class_index = 0; alpha = Some alpha; beta = None } ];
+         });
+    push (Protocol.Blocking { tree = "t" });
+    push (Protocol.Shadow_costs { tree = "t"; weights });
+    push (Protocol.Admit { tree = "t"; class_index = i mod classes; weights })
+  done;
+  Array.of_list (List.rev !stream)
+
+let admission_classes = [ 2; 4; 8 ]
+
+let check_replay label requests =
   let batched, _ = execute requests in
-  check_int "one response per request" (Array.length requests)
+  check_int (label ^ ": one response per request") (Array.length requests)
     (Array.length batched.Batcher.responses);
   let replay_registry = Registry.create () in
   Array.iteri
     (fun i req ->
       let single, _ = execute ~registry:replay_registry [| req |] in
       check_bool
-        (Printf.sprintf "response %d identical to unbatched replay" i)
+        (Printf.sprintf "%s: response %d identical to unbatched replay" label
+           i)
         true
         (String.equal
            (Json.to_string batched.Batcher.responses.(i))
            (Json.to_string single.Batcher.responses.(0))))
     requests
+
+let test_batched_equals_one_at_a_time () =
+  check_replay "mixed" (mixed_stream (small_model ()));
+  List.iter
+    (fun classes ->
+      check_replay
+        (Printf.sprintf "admission R=%d" classes)
+        (Array.map fst (admission_stream ~classes)))
+    admission_classes
+
+(* Every float leaf of a response, in serialization order. *)
+let rec float_leaves acc = function
+  | Json.Float f -> f :: acc
+  | Json.Null | Json.Bool _ | Json.Int _ | Json.String _ -> acc
+  | Json.List items -> List.fold_left float_leaves acc items
+  | Json.Assoc fields ->
+      List.fold_left (fun acc (_, value) -> float_leaves acc value) acc fields
+
+(* Hot-tree answers vs stateless ones: every solve and delta response of
+   the stream must report [log_g] and [measures] within 1 ulp of a fresh
+   registry solving that request's model state from scratch. *)
+let check_hot_matches_stateless label stream =
+  let outcome, _ = execute (Array.map fst stream) in
+  Array.iteri
+    (fun i ((req : Protocol.request), state) ->
+      match req.Protocol.query with
+      | Protocol.Solve _ | Protocol.Delta _ ->
+          let fresh, _ = execute [| solve_request i state |] in
+          List.iter
+            (fun field ->
+              let leaves response =
+                match Json.member field response with
+                | Some value -> List.rev (float_leaves [] value)
+                | None ->
+                    Alcotest.failf "%s: response %d lacks %s" label i field
+              in
+              let hot = leaves outcome.Batcher.responses.(i)
+              and stateless = leaves fresh.Batcher.responses.(0) in
+              check_int
+                (Printf.sprintf "%s: response %d %s leaf count" label i field)
+                (List.length stateless) (List.length hot);
+              List.iter2
+                (fun x y ->
+                  check_bool
+                    (Printf.sprintf "%s: response %d %s within 1 ulp" label i
+                       field)
+                    true
+                    (Prob.ulp_distance x y <= 1))
+                stateless hot)
+            [ "log_g"; "measures" ]
+      | _ -> ())
+    stream
 
 let test_delta_matches_fresh_solve () =
   let model = small_model () in
@@ -361,7 +443,13 @@ let test_delta_matches_fresh_solve () =
   check_bool "log G bit-identical to fresh solve" true
     (Int64.equal
        (Int64.bits_of_float (response_float "log_g" delta_response))
-       (Int64.bits_of_float fresh.Solver.log_normalization))
+       (Int64.bits_of_float fresh.Solver.log_normalization));
+  List.iter
+    (fun classes ->
+      check_hot_matches_stateless
+        (Printf.sprintf "admission R=%d" classes)
+        (admission_stream ~classes))
+    admission_classes
 
 let test_unknown_tree_and_bad_change () =
   let model = small_model () in
