@@ -46,9 +46,9 @@ module Logspace = Crossbar_numerics.Logspace
    copies, the borrowed chunk counts of the current prechunk, and a free
    list of result-sized lattices recycled by [Factor_tree.update
    ~recycle] and the leave-one-out sweep.  One arena exists per (context,
-   domain) pair — reached through a [Domain.DLS] key, so combines issued
-   concurrently by band workers or sweep pool workers never share
-   scratch. *)
+   domain) pair — kept in the domain's own table (see [arena]), so
+   combines issued concurrently by band workers or sweep pool workers
+   never share scratch. *)
 module Arena = struct
   type t = {
     left : Lattice.t;
@@ -93,7 +93,11 @@ module Arena = struct
   let release t l = t.pool <- l :: t.pool
 end
 
+type floats =
+  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 type context = {
+  id : int; (* keys the context's arena in each domain's table *)
   n1 : int;
   n2 : int;
   cap : int; (* min n1 n2: used bandwidth never exceeds either side *)
@@ -102,8 +106,10 @@ type context = {
   band_threshold : int; (* cap >= this: parallelise a single combine *)
   band_domains : int; (* bands (domains) a banded combine splits into *)
   banded_total : int Atomic.t; (* banded combines through this context *)
-  arenas : Arena.t Domain.DLS.key;
+  ratios : floats; (* the diagonal's ratio_j(u), packed; see [ratio_table] *)
 }
+
+let next_context_id = Atomic.make 0
 
 let weight_grid ~ports ~cap =
   let g = Lattice.Grid.create ~rows:(cap + 1) ~cols:(cap + 1) in
@@ -117,6 +123,38 @@ let weight_grid ~ports ~cap =
     done
   done;
   g
+
+(* The diagonal pass's weights (see [diagonal]),
+     ratio_j(u) = prod_{i<u} ((N1-j-i)(N2-j-i)) / ((N1-i)(N2-i)),
+   for 0 <= j <= cap and 1 <= u <= cap - j, packed row by row: row [j]
+   holds its [cap - j] entries from offset [ratio_row cap j + 1].  They
+   depend on the switch shape alone, so one table per context serves
+   every solve, whose diagonal pass is then one multiply-add per term.
+   The running product is the division recurrence's own expression,
+   evaluated in its order, so every entry — and with it every diagonal —
+   is bit-identical to that recurrence (test_factor_tree keeps it as the
+   oracle).  Size cap (cap + 1) / 2 doubles: under half of one weight
+   grid. *)
+let ratio_row cap j = (j * cap) - (j * (j - 1) / 2) - 1
+
+let ratio_table ~n1 ~n2 ~cap =
+  let table =
+    Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout
+      (cap * (cap + 1) / 2)
+  in
+  for j = 0 to cap do
+    let row = ratio_row cap j in
+    let ratio = ref 1. in
+    for u = 1 to cap - j do
+      let i = u - 1 in
+      ratio :=
+        !ratio
+        *. (float_of_int (n1 - j - i) /. float_of_int (n1 - i))
+        *. (float_of_int (n2 - j - i) /. float_of_int (n2 - i));
+      Bigarray.Array1.unsafe_set table (row + u) !ratio
+    done
+  done;
+  table
 
 (* Kernel block edge, in lattice entries.  It only keeps the grid rows
    the inner loop touches cache-resident and never changes a result, so
@@ -173,6 +211,7 @@ let context_of ?combine_threshold ?band_domains ~inputs ~outputs () =
   in
   let cap = min inputs outputs in
   {
+    id = Atomic.fetch_and_add next_context_id 1;
     n1 = inputs;
     n2 = outputs;
     cap;
@@ -181,11 +220,73 @@ let context_of ?combine_threshold ?band_domains ~inputs ~outputs () =
     band_threshold;
     band_domains;
     banded_total = Atomic.make 0;
-    arenas = Domain.DLS.new_key (fun () -> Arena.create ~cap);
+    ratios = ratio_table ~n1:inputs ~n2:outputs ~cap;
   }
 
 let context_capacity ctx = ctx.cap
-let arena ctx = Domain.DLS.get ctx.arenas
+
+(* Each domain keeps the arenas of the last [arena_limit] contexts it
+   combined with, in a table of its own; a context's arena on a domain
+   is created on first use there and dropped, lattices and all, when
+   [arena_limit] more recently used contexts displace it.  The domains
+   of the persistent pool run solves of every shape a sweep or daemon
+   meets, so without the bound each would keep an arena per shape ever
+   solved.  The limit is twice the shared-context cache, so a working
+   set of shared shapes plus a few private contexts stays resident.
+   Only the domain itself reads or writes its table. *)
+let arena_limit = 16
+
+type arena_table = {
+  ids : int array; (* context id per slot; -1 while the slot is free *)
+  slots : Arena.t array;
+  stamps : int array; (* [clock] at the slot's last use; 0 when free *)
+  mutable clock : int;
+}
+
+(* Built once per domain, at its first combine. *)
+let new_arena_table () =
+  (* lint: alloc=ids -- once per domain *)
+  let ids = Array.make arena_limit (-1) in
+  (* lint: alloc=slots -- once per domain *)
+  let slots = Array.make arena_limit (Arena.create ~cap:0) in
+  (* lint: alloc=stamps -- once per domain *)
+  let stamps = Array.make arena_limit 0 in
+  (* lint: alloc=record -- once per domain *)
+  { ids; slots; stamps; clock = 0 }
+
+let arena_tables = Domain.DLS.new_key new_arena_table
+
+let rec find_slot table id i =
+  if i >= arena_limit then -1
+  else if table.ids.(i) = id then i
+  else find_slot table id (i + 1)
+
+let rec stalest_slot table i best =
+  if i >= arena_limit then best
+  else
+    stalest_slot table (i + 1)
+      (if table.stamps.(i) < table.stamps.(best) then i else best)
+
+let arena ctx =
+  let table = Domain.DLS.get arena_tables in
+  table.clock <- table.clock + 1;
+  let slot =
+    match find_slot table ctx.id 0 with
+    | -1 ->
+        let slot = stalest_slot table 1 0 in
+        table.ids.(slot) <- ctx.id;
+        (* lint: alloc=slots -- one arena per (context, domain) miss *)
+        table.slots.(slot) <- Arena.create ~cap:ctx.cap;
+        slot
+    | slot -> slot
+  in
+  table.stamps.(slot) <- table.clock;
+  table.slots.(slot)
+
+let arenas_held () =
+  Array.fold_left
+    (fun held id -> if id >= 0 then held + 1 else held)
+    0 (Domain.DLS.get arena_tables).ids
 let banded_total ctx = Atomic.get ctx.banded_total
 
 (* Process-wide bounded MRU cache of contexts, keyed on the switch
@@ -256,7 +357,7 @@ let class_factor ctx model r =
   let a = Model.bandwidth model r in
   let rho = Model.rho model r in
   let theta = Model.beta_over_mu model r in
-  let seq = Arena.acquire (Domain.DLS.get ctx.arenas) ~cap:ctx.cap ~stride:a in
+  let seq = Arena.acquire (arena ctx) ~cap:ctx.cap ~stride:a in
   Lattice.set seq 0 1.;
   (* lint: alloc=v -- one chain cell per class factor, O(R) per solve *)
   let v = ref 0. in
@@ -409,8 +510,10 @@ let band_lo cap bands i =
    banded combines to one solve). *)
 let combine_banded ctx counter left right ~sa ~sb result =
   let bands = ctx.band_domains in
-  (* lint: guarded=ctx,left,right,result — bands write disjoint output rows; operands and grids are read-only during the kernel *)
-  (* lint: alloc=closure -- one band thunk per banded combine *)
+  (* Bands write disjoint output rows; the operands, grids and ratio
+     table are read-only during the kernel.  One band thunk per banded
+     combine.  (A directive covers its own line and the next only.) *)
+  (* lint: guarded=ctx,left,right,result alloc=closure -- see above *)
   Band_pool.run ~bands (fun i ->
       let lo = band_lo ctx.cap bands i in
       let hi = band_lo ctx.cap bands (i + 1) - 1 in
@@ -433,7 +536,7 @@ let combine_banded ctx counter left right ~sa ~sb result =
    combines to the context's running total only. *)
 let combine_into ctx counter a b =
   let sa = Lattice.stride a and sb = Lattice.stride b in
-  let arena = Domain.DLS.get ctx.arenas in
+  let arena = arena ctx in
   prechunk arena a b;
   let ka = arena.Arena.ka and kb = arena.Arena.kb in
   let left =
@@ -663,7 +766,7 @@ module Factor_tree = struct
         (* lint: alloc=record -- unchanged classes: one record, no combines *)
         { t with model; combines = 0; banded = 0 }
     | Some changed ->
-        let arena = Domain.DLS.get t.ctx.arenas in
+        let arena = arena t.ctx in
         (* lint: alloc=counter -- solve-local banded counter, one per update *)
         let counter = Atomic.make 0 in
         (* lint: alloc=levels -- spine copy, O(log R); nodes stay shared *)
@@ -729,7 +832,7 @@ module Factor_tree = struct
           (function Some l -> l | None -> unit_profile t.ctx.cap)
           !comp
       in
-      release_unreturned (Domain.DLS.get t.ctx.arenas) result !fresh;
+      release_unreturned (arena t.ctx) result !fresh;
       result
     end
 end
@@ -745,26 +848,24 @@ type t = {
 
 (* One shared diagonal pass serves every class's measures:
      diag.(j) = scaled G(N1-j, N2-j) = sum_u H(u) ratio_j(u),
-     ratio_j(u) = prod_{i<u} ((N1-j-i)(N2-j-i)) / ((N1-i)(N2-i)). *)
+   with ratio_j(u) read from the context's precomputed table: one
+   multiply-add per term, summed in increasing [u]. *)
 let diagonal ctx h =
   (* From the arena free list: a recycled tree's diagonal is re-acquired
      by the next solve of the same shape. *)
   let diag =
-    Arena.acquire (Domain.DLS.get ctx.arenas) ~cap:ctx.cap ~stride:1
+    Arena.acquire (arena ctx) ~cap:ctx.cap ~stride:1
   in
   Lattice.add_scale diag (Lattice.scale h);
-  for j = 0 to ctx.cap do
-    let sum = ref (Lattice.get h 0) in
-    let ratio = ref 1. in
-    for u = 1 to ctx.cap - j do
-      let i = u - 1 in
-      ratio :=
-        !ratio
-        *. (float_of_int (ctx.n1 - j - i) /. float_of_int (ctx.n1 - i))
-        *. (float_of_int (ctx.n2 - j - i) /. float_of_int (ctx.n2 - i));
-      sum := !sum +. (Lattice.get h u *. !ratio)
+  let cap = ctx.cap and ratios = ctx.ratios in
+  for j = 0 to cap do
+    let row = ratio_row cap j in
+    let sum = ref (Lattice.unsafe_get h 0) in
+    for u = 1 to cap - j do
+      let ratio = Bigarray.Array1.unsafe_get ratios (row + u) in
+      sum := !sum +. (Lattice.unsafe_get h u *. ratio)
     done;
-    Lattice.set diag j !sum
+    Lattice.unsafe_set diag j !sum
   done;
   diag
 
@@ -833,7 +934,7 @@ let solve_delta ?(recycle = false) ~previous model =
      diagonal below is computed from the updated tree, so the previous
      solve's diagonal can seed the free list first. *)
   if recycle then
-    Arena.release (Domain.DLS.get previous.ctx.arenas) previous.diag;
+    Arena.release (arena previous.ctx) previous.diag;
   of_tree tree
 
 (* Returns every lattice a dropped solve owns to the current domain's
@@ -844,7 +945,7 @@ let solve_delta ?(recycle = false) ~previous model =
    guarantee nothing else references [t] — e.g. a serve registry entry
    evicted once the batch that evicted it has fully drained. *)
 let recycle t =
-  let arena = Domain.DLS.get t.ctx.arenas in
+  let arena = arena t.ctx in
   let levels = t.tree.Factor_tree.levels in
   let leaves = levels.(0) in
   for i = 0 to Array.length leaves - 1 do
@@ -881,7 +982,7 @@ let marginal_weights ctx own comp =
   let cap = ctx.cap in
   let a = Lattice.stride own in
   let sc = Lattice.stride comp in
-  let arena = Domain.DLS.get ctx.arenas in
+  let arena = arena ctx in
   prechunk arena own comp;
   let ka = arena.Arena.ka and kb = arena.Arena.kb in
   Array.init ((cap / a) + 1) (fun m ->

@@ -31,8 +31,8 @@
 (** Per-domain scratch for the combine hot path: two operand-sized
     profiles for chunk-scaled copies, the chunk counts of the current
     prechunk, and a free list of result-sized profiles recycled by
-    [Factor_tree.update ~recycle] and the leave-one-out sweep.  Arenas
-    are reached through a [Domain.DLS] key held by the context, so
+    [Factor_tree.update ~recycle] and the leave-one-out sweep.  Each
+    domain keeps its own arenas, one per context (see {!arena}), so
     combines issued concurrently — by the banded kernel's own domains or
     by solves on [Engine.Pool] workers — never share scratch. *)
 module Arena : sig
@@ -64,8 +64,8 @@ end
 
 type context
 (** Combine environment for one switch size: the precomputed weight
-    grids, banding threshold and domain count, the
-    per-domain {!Arena} key and the banded-combine counter.
+    grids, banding threshold and domain count, the identity its
+    per-domain {!Arena}s are kept under and the banded-combine counter.
     {!Factor_tree.build} resolves its context through a bounded
     process-wide cache keyed on the dimensions and resolved knobs, so
     repeated solves of one switch shape share the grids and — through
@@ -99,7 +99,18 @@ val context_capacity : context -> int
 (** [min inputs outputs]. *)
 
 val arena : context -> Arena.t
-(** The calling domain's arena (created on first use). *)
+(** The calling domain's arena for this context, created on first use.
+    Each domain keeps the arenas of its {!arena_limit} most recently
+    used contexts; an older one is dropped with its free list, and the
+    next use on that domain starts a fresh arena. *)
+
+val arena_limit : int
+(** Most arenas one domain keeps at a time (16: twice the process-wide
+    cache of shared contexts), so a long-lived worker domain that meets
+    many switch shapes holds scratch for a bounded number of them. *)
+
+val arenas_held : unit -> int
+(** Arenas the calling domain currently keeps, at most {!arena_limit}. *)
 
 val banded_total : context -> int
 (** Combines this context has run through the banded parallel kernel,

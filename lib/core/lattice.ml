@@ -30,8 +30,11 @@ let stride t = t.stride
 let scale t = t.scale
 let get t u = Bigarray.Array1.get t.values u
 let set t u x = Bigarray.Array1.set t.values u x
-let unsafe_get t u = Bigarray.Array1.unsafe_get t.values u
-let unsafe_set t u x = Bigarray.Array1.unsafe_set t.values u x
+(* Inlined so the kernels' float loads and stores stay unboxed: an
+   out-of-line call would return each value boxed (see DESIGN.md,
+   "Combine kernels"). *)
+let[@inline] unsafe_get t u = Bigarray.Array1.unsafe_get t.values u
+let[@inline] unsafe_set t u x = Bigarray.Array1.unsafe_set t.values u x
 
 let reset ?(stride = 1) t =
   if stride < 1 then invalid_arg "Lattice.reset: stride < 1";
@@ -125,8 +128,9 @@ module Grid = struct
       invalid_arg "Lattice.Grid.set: out of bounds";
     Bigarray.Array1.set t.data ((i * t.cols) + j) x
 
-  let unsafe_get t i j = Bigarray.Array1.unsafe_get t.data ((i * t.cols) + j)
+  let[@inline] unsafe_get t i j =
+    Bigarray.Array1.unsafe_get t.data ((i * t.cols) + j)
 
-  let unsafe_set t i j x =
+  let[@inline] unsafe_set t i j x =
     Bigarray.Array1.unsafe_set t.data ((i * t.cols) + j) x
 end

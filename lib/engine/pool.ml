@@ -17,29 +17,13 @@ let run ?domains ~tasks f =
   if workers <= 1 then Array.init tasks f
   else begin
     let results = Array.make tasks None in
-    let next = Atomic.make 0 in
-    let failure = Atomic.make None in
-    let worker () =
-      let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < tasks && Atomic.get failure = None then begin
-          (match f i with
-          | value -> results.(i) <- Some value
-          | exception e ->
-              ignore (Atomic.compare_and_set failure None (Some e)));
-          loop ()
-        end
-      in
-      loop ()
-    in
-    (* The calling domain is worker zero; spawn the rest.  Each [results]
-       slot is written by exactly one worker — the Atomic counter hands
-       out disjoint indices — and only read after every domain joins. *)
-    (* lint: guarded=results — disjoint writes, read after join *)
-    let spawned = Array.init (workers - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join spawned;
-    (match Atomic.get failure with Some e -> raise e | None -> ());
+    (* One band per worker on the persistent band pool (see
+       [Band_pool.run_tasks]).  Each [results] slot is written by exactly
+       one task — the task counter hands out disjoint indices — and only
+       read once every band has finished. *)
+    (* lint: guarded=results — disjoint writes, read after every band *)
+    Crossbar.Band_pool.run_tasks ~bands:workers ~tasks (fun i ->
+        results.(i) <- Some (f i));
     Array.map
       (function Some value -> value | None -> assert false)
       results

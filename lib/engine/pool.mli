@@ -1,13 +1,21 @@
-(** Fixed-size domain pool for deterministic fan-out.
+(** Deterministic fan-out over the process-wide worker domains.
 
-    [run] evaluates a pure task function over indices [0 .. tasks-1] on a
-    fixed-size pool of OCaml 5 domains and returns the results in index
-    order, so the output is bit-identical regardless of how many domains
-    execute it (work stealing only changes {e which} domain computes an
-    index, never what is computed).  When only one worker is available —
-    [Domain.recommended_domain_count () = 1], an explicit [~domains:1],
-    or a single task — no domain is spawned and the tasks run
-    sequentially in the calling domain. *)
+    [run] evaluates a pure task function over indices [0 .. tasks-1] and
+    returns the results in index order, so the output is bit-identical
+    regardless of how many domains execute it (work stealing only
+    changes {e which} domain computes an index, never what is
+    computed).  It is a thin layer over {!Crossbar.Band_pool.run_tasks}:
+    the calling domain is worker zero and the others are the band
+    pool's parked domains, so no domain is spawned per call (the band
+    pool starts its workers once, on first use).  When only one worker
+    is wanted — [Domain.recommended_domain_count () = 1], an explicit
+    [~domains:1], or a single task — the tasks run sequentially in the
+    calling domain, as does a run issued from inside a task or while
+    another domain's fan-out holds the band pool.  A banded combine
+    inside a task runs its bands on the task's domain while every
+    worker is busy, and shares them with the workers that have run out
+    of tasks once some have, so an unbalanced run still uses its idle
+    domains. *)
 
 val recommended_domains : unit -> int
 (** Pool width used when [?domains] is omitted:
@@ -22,6 +30,6 @@ val run : ?domains:int -> tasks:int -> (int -> 'a) -> 'a array
 (** [run ~tasks f] returns [[| f 0; ...; f (tasks-1) |]].  [f] must be
     safe to call from multiple domains (the solver layers are pure).  If
     any task raises, the first exception observed is re-raised in the
-    caller after all domains join, and remaining un-started tasks are
-    abandoned.
+    caller once every worker has finished, and remaining un-started
+    tasks are abandoned.
     @raise Invalid_argument if [tasks < 0] or [domains < 1]. *)

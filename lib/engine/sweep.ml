@@ -148,7 +148,7 @@ let run ?domains ?cache ?telemetry ?(incremental = false) points =
       Array.concat (Array.to_list chunks)
     end
   in
-  (* Record after the pool joins so the telemetry stream is in point
+  (* Record after the pool run returns so the telemetry stream is in point
      order no matter which domain solved what. *)
   Array.iter (record_outcome telemetry) outcomes;
   outcomes

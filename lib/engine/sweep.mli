@@ -50,7 +50,7 @@ val run :
     pass an existing [cache] to share memoised solutions across sweeps
     (a fresh private cache is used otherwise).  When [telemetry] is
     given, one record per point is appended in point order after the
-    pool joins, so the record stream is deterministic too.
+    pool run returns, so the record stream is deterministic too.
 
     [incremental] (default [false]) groups consecutive points that
     share switch dimensions and class count (and resolve to the

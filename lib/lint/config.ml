@@ -82,7 +82,10 @@ let default =
     r9_roots = [ "lib/engine" ];
     r9_lock_wrappers = [ "Mutex.protect"; "Stdlib.Mutex.protect"; "locked" ];
     r10_sinks =
-      [ "Pool.run"; "Band_pool.run"; "Domain.spawn"; "Domain.spawn_with" ];
+      [
+        "Pool.run"; "Band_pool.run"; "Band_pool.run_tasks"; "Domain.spawn";
+        "Domain.spawn_with";
+      ];
     r10_guarded_types =
       [
         "Crossbar_engine.Telemetry.t"; "Crossbar_engine__Telemetry.t";
@@ -104,7 +107,8 @@ let default =
     r12_boundaries =
       [
         "Mutex.protect"; "Stdlib.Mutex.protect"; "locked"; "Pool.run";
-        "Band_pool.run"; "Domain.spawn"; "Domain.spawn_with"; "Batcher.run";
+        "Band_pool.run"; "Band_pool.run_tasks"; "Domain.spawn";
+        "Domain.spawn_with"; "Batcher.run";
       ];
     r13_log_producers =
       [

@@ -307,9 +307,13 @@ let execute ?domains ~registry ~telemetry (requests : Protocol.request array) =
       | _ -> ());
       responses.(i) <- handle ~registry ~telemetry ~domains:width requests.(i))
     (List.rev !control);
-  (* Quiescent point: the pool workers have joined, so trees evicted by
-     capacity pressure during this batch have no remaining readers and
-     their lattices can go back to the arenas. *)
+  (* Quiescent point: [Pool.run] returned, so [Band_pool.run_tasks]
+     beneath it has collected every band's [done_] flag.  A band
+     finishes only once every task has and it has left the nested
+     combine bands it lent to, so no worker still runs anything of this
+     batch, and the control requests above ran on this domain.  Trees evicted by capacity pressure during this batch
+     therefore have no remaining readers and their lattices can go back
+     to the arenas. *)
   ignore (Registry.recycle_evicted registry : int);
   { responses; shutdown = !shutdown }
 

@@ -35,8 +35,11 @@ val execute :
     daemon down.  [domains] bounds the pool
     (default {!Crossbar_engine.Pool.recommended_domains}).
 
-    After the pool joins, the registry's capacity-evicted trees are
-    drained via {!Registry.recycle_evicted} — the end of a batch is the
+    Once the pool run has returned — {!Crossbar.Band_pool.run_tasks}
+    has collected every band's completion flag, and a band finishes
+    only after the last task and every nested band it lent to have, so
+    no worker still runs anything of this batch — the registry's capacity-evicted trees are
+    drained via {!Registry.recycle_evicted}: the end of a batch is the
     daemon's quiescent point. *)
 
 (** One-batch-in-flight pipelining: a dedicated worker domain runs

@@ -50,8 +50,9 @@ val recycle_evicted : t -> int
 (** Drain the trees displaced by capacity pressure since the last call,
     returning each one's lattices to the convolution arenas via
     {!Crossbar.Convolution.recycle}; yields the number recycled.  Call
-    only at a quiescent point — after batch workers have joined — since
-    an in-flight query may still be reading a just-evicted tree.
+    only at a quiescent point — after the batch's pool run has collected
+    every worker band — since an in-flight query may still be reading a
+    just-evicted tree.
 
     A parked tree whose name is resident again at drain time is dropped
     instead of recycled: an eviction that raced a concurrent

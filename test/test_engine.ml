@@ -62,6 +62,18 @@ let test_pool_first_failure_wins () =
   let again = Pool.run ~domains:4 ~tasks:10 (fun i -> i * 2) in
   check_int "pool reusable after failure" 18 again.(9)
 
+(* Pool.run fans out over the persistent band-pool workers: once warm,
+   further runs reuse the parked domains instead of spawning their own. *)
+let test_pool_spawns_no_domain_per_run () =
+  ignore (Pool.run ~domains:2 ~tasks:4 Fun.id : int array);
+  let warm = Crossbar.Band_pool.size () in
+  check_bool "a 2-domain run parks at least one worker" true (warm >= 1);
+  for _ = 1 to 100 do
+    ignore (Pool.run ~domains:2 ~tasks:4 Fun.id : int array)
+  done;
+  check_int "100 warm runs leave the worker count unchanged" warm
+    (Crossbar.Band_pool.size ())
+
 (* The CROSSBAR_DOMAINS override: valid values are honoured, malformed
    or non-positive values are a hard configuration error.  putenv has no
    inverse, so the original value (or a safe default) is always
@@ -704,6 +716,8 @@ let () =
           case "first failure wins" test_pool_first_failure_wins;
           case "bad arguments" test_pool_rejects_bad_arguments;
           case "CROSSBAR_DOMAINS override" test_pool_env_override;
+          case "no domain spawned per run"
+            test_pool_spawns_no_domain_per_run;
         ] );
       ( "cache",
         [

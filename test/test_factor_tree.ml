@@ -16,6 +16,9 @@ module Revenue = Crossbar.Revenue
 module Occupancy = Crossbar.Occupancy
 module Brute = Crossbar.Brute
 module State_space = Crossbar_markov.State_space
+module Lattice = Crossbar.Lattice
+module Special = Crossbar_numerics.Special
+module Logspace = Crossbar_numerics.Logspace
 
 let bits = Int64.bits_of_float
 let floats_identical a b = Int64.equal (bits a) (bits b)
@@ -522,6 +525,123 @@ let test_rescale_exponent_cancellation () =
   let back = Conv.solve_delta ~previous:(Conv.solve calm) model in
   check_solved "calm -> rescaled" model t back
 
+(* --- diagonal: per-context ratio table vs the division recurrence --- *)
+
+(* The diagonal pass as it ran before the ratio table: the running
+   product ratio_j(u) recomputed with its divisions on every solve.
+   Kept here as the bit-identity oracle for the table-driven pass, in
+   the spirit of [Conv.combine_naive]. *)
+let reference_diagonal t =
+  let model = Conv.model t in
+  let n1 = Model.inputs model and n2 = Model.outputs model in
+  let cap = min n1 n2 in
+  let h = Tree.root (Conv.tree t) in
+  Array.init (cap + 1) (fun j ->
+      let sum = ref (Lattice.get h 0) in
+      let ratio = ref 1. in
+      for u = 1 to cap - j do
+        let i = u - 1 in
+        ratio :=
+          !ratio
+          *. (float_of_int (n1 - j - i) /. float_of_int (n1 - i))
+          *. (float_of_int (n2 - j - i) /. float_of_int (n2 - i));
+        sum := !sum +. (Lattice.get h u *. !ratio)
+      done;
+      !sum)
+
+(* The solver's concurrency chain at [depth], fed the reference diagonal. *)
+let reference_concurrency model diag ~depth r =
+  let a = Model.bandwidth model r in
+  let rho = Model.rho model r in
+  let b_over_mu = Model.beta_over_mu model r in
+  let n1 = Model.inputs model - depth and n2 = Model.outputs model - depth in
+  let budget = max (-1) (min n1 n2) in
+  let e = ref 0. in
+  for m = budget / a downto 0 do
+    let j = depth + (m * a) in
+    let here = diag.(j) in
+    let down = if (m + 1) * a > budget then 0. else diag.(j + a) in
+    if here > 0. && Float.is_finite here && Float.is_finite down then
+      e :=
+        Special.permutations (n1 - (m * a)) a
+        *. Special.permutations (n2 - (m * a)) a
+        *. (down /. here)
+        *. (rho +. (b_over_mu *. !e))
+    else e := 0.
+  done;
+  !e
+
+let check_diagonal_outputs label t =
+  let model = Conv.model t in
+  let diag = reference_diagonal t in
+  let cap = Array.length diag - 1 in
+  Array.iteri
+    (fun r (c : Measures.per_class) ->
+      let a = Model.bandwidth model r in
+      let expected =
+        if Model.inputs model < a || Model.outputs model < a then 0.
+        else diag.(a) /. diag.(0)
+      in
+      check_bits
+        (Printf.sprintf "%s.class %d non_blocking" label r)
+        expected c.Measures.non_blocking)
+    (Conv.measures t).Measures.per_class;
+  for depth = 0 to cap do
+    Array.iteri
+      (fun r e ->
+        check_bits
+          (Printf.sprintf "%s.depth %d class %d concurrency" label depth r)
+          (reference_concurrency model diag ~depth r)
+          e)
+      (Conv.concurrencies_at_depth t ~depth)
+  done;
+  (* ratio_0(u) is exactly 1, so diag.(0) is also the sum [log_g] forms
+     at the corner: both recurrences must agree on log G bit for bit. *)
+  check_bits (label ^ ".log_normalization")
+    (Logspace.log_checked diag.(0)
+    -. Lattice.log_scale (Tree.root (Conv.tree t)))
+    (Conv.log_normalization t)
+
+let test_diagonal_matches_division_recurrence () =
+  List.iter
+    (fun (inputs, outputs) ->
+      let model =
+        Model.create ~inputs ~outputs
+          ~classes:
+            ([
+               Helpers.poisson ~name:"poisson" 0.3;
+               Helpers.pascal ~name:"pascal" ~mu:0.5 ~alpha:0.2 ~beta:0.15
+                 ();
+               Helpers.bernoulli ~name:"bernoulli" ~mu:2.0 ~sources:5
+                 ~rate:0.08 ();
+             ]
+            @
+            if min inputs outputs < 2 then []
+            else [ Helpers.poisson ~name:"wide" ~bandwidth:2 0.1 ])
+      in
+      check_diagonal_outputs
+        (Printf.sprintf "%dx%d" inputs outputs)
+        (Conv.solve model))
+    [ (1, 2); (63, 65); (67, 64); (256, 259); (275, 272) ]
+
+let test_diagonal_matches_under_rescaling () =
+  let model =
+    Model.create ~inputs:64 ~outputs:61
+      ~classes:
+        [
+          Helpers.poisson ~name:"hot" 1e12;
+          Helpers.pascal ~name:"warm" ~bandwidth:2 ~alpha:0.2 ~beta:0.1 ();
+          Helpers.poisson ~name:"wide" ~bandwidth:3 1e10;
+        ]
+  in
+  let t = Conv.solve model in
+  Helpers.check_bool "rescaling fired" true (Conv.rescale_count t > 0);
+  check_diagonal_outputs "rescaled 64x61" t;
+  (* A recycled delta re-solve reuses the arena's diagonal storage. *)
+  let changed = scale_class 0 0.5 model in
+  check_diagonal_outputs "rescaled delta"
+    (Conv.solve_delta ~recycle:true ~previous:t changed)
+
 let () =
   Alcotest.run "factor-tree"
     [
@@ -554,6 +674,13 @@ let () =
             test_distributions_match_occupancy_and_brute;
           Helpers.case "distribution_of_weights validation"
             test_distribution_of_weights_validation;
+        ] );
+      ( "diagonal",
+        [
+          Helpers.case "ratio table bit-identical to the division recurrence"
+            test_diagonal_matches_division_recurrence;
+          Helpers.case "ratio table bit-identical under dynamic rescaling"
+            test_diagonal_matches_under_rescaling;
         ] );
       ( "edge cases",
         [

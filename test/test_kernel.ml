@@ -183,6 +183,58 @@ let test_more_bands_than_outputs () =
     (Conv.combine_naive ctx a b)
     (Conv.combine ctx a b)
 
+(* A combine large enough to band, issued from inside an engine pool
+   task, finds the band pool busy and runs its bands inline; the result
+   must still match the reference combine bit for bit. *)
+let test_banded_inside_pool_task () =
+  let cap = 256 in
+  let ctx = context ~threshold:cap ~domains:2 cap in
+  let operands =
+    Array.init 4 (fun k ->
+        ( make_profile ~cap ~stride:1 ~mag:0 (80 + (2 * k)),
+          make_profile ~cap ~stride:1 ~mag:0 (81 + (2 * k)) ))
+  in
+  let nested =
+    Crossbar_engine.Pool.run ~domains:2 ~tasks:4 (fun k ->
+        let a, b = operands.(k) in
+        Conv.combine ctx a b)
+  in
+  Array.iteri
+    (fun k (a, b) ->
+      check_same_lattice
+        (Printf.sprintf "task %d" k)
+        (Conv.combine_naive ctx a b)
+        nested.(k))
+    operands;
+  Helpers.check_int "every combine took the banded path" 4
+    (Conv.banded_total ctx)
+
+(* The unbalanced case: one pool task runs every banded combine while
+   its siblings return at once, so the other pool band lends its domain
+   to those combines' bands.  However the rows split between the two
+   domains, each result must match the reference combine bit for bit. *)
+let test_banded_in_unbalanced_pool_run () =
+  let cap = 256 in
+  let ctx = context ~threshold:cap ~domains:2 cap in
+  let operands =
+    Array.init 6 (fun k ->
+        ( make_profile ~cap ~stride:1 ~mag:0 (90 + (2 * k)),
+          make_profile ~cap ~stride:1 ~mag:0 (91 + (2 * k)) ))
+  in
+  let results =
+    Crossbar_engine.Pool.run ~domains:2 ~tasks:3 (fun task ->
+        if task = 0 then
+          Array.map (fun (a, b) -> Conv.combine ctx a b) operands
+        else [||])
+  in
+  Array.iteri
+    (fun k (a, b) ->
+      check_same_lattice
+        (Printf.sprintf "combine %d" k)
+        (Conv.combine_naive ctx a b)
+        results.(0).(k))
+    operands
+
 (* ---------- persistent band-worker pool ---------- *)
 
 module Band_pool = Crossbar.Band_pool
@@ -242,6 +294,104 @@ let test_pool_degenerate () =
   Helpers.check_int "bands=1 spawns no workers" 0 (Band_pool.size ());
   Helpers.check_raises_invalid "bands=0 rejected" (fun () ->
       Band_pool.run ~bands:0 (fun _ -> ()))
+
+(* Spins until [flag] is set or about [budget] relaxations pass: a
+   bounded wait that gives another domain time to act without letting
+   the test hang if it never does. *)
+let rec wait_for flag budget =
+  if budget > 0 && not (Atomic.get flag) then begin
+    Domain.cpu_relax ();
+    wait_for flag (budget - 1)
+  end
+
+(* A two-band nested fan-out whose bands each hold back, boundedly,
+   until the other has started: an idle lender then has time to take one
+   of them, and a run with no lender only loses the wait.  [body] runs
+   last in each band. *)
+let held_pair_run body =
+  let started = [| Atomic.make false; Atomic.make false |] in
+  Band_pool.run ~bands:2 (fun band ->
+      Atomic.set started.(band) true;
+      wait_for started.(1 - band) 2_000_000;
+      body band)
+
+(* In a run_tasks with one long task, the band left without tasks lends
+   its domain to the long task's nested fan-outs: some nested band runs
+   on a domain other than the task's, and every band runs exactly once.
+   The long task starts its fan-outs once the short one has ended, so
+   the other band is already lending. *)
+let test_run_tasks_lends_idle_band () =
+  let rounds = 20 in
+  let short_done = Atomic.make false in
+  let lent = Atomic.make 0 in
+  let hits = Array.make (2 * rounds) 0 in
+  Band_pool.run_tasks ~bands:2 ~tasks:2 (fun task ->
+      if task = 1 then Atomic.set short_done true
+      else begin
+        wait_for short_done 50_000_000;
+        let owner = (Domain.self () :> int) in
+        for round = 0 to rounds - 1 do
+          held_pair_run (fun band ->
+              let i = (2 * round) + band in
+              hits.(i) <- hits.(i) + 1;
+              if (Domain.self () :> int) <> owner then Atomic.incr lent)
+        done
+      end);
+  Array.iteri
+    (fun i n ->
+      Helpers.check_int
+        (Printf.sprintf "round %d band %d ran once" (i / 2) (i mod 2))
+        1 n)
+    hits;
+  Helpers.check_bool "the idle band took nested bands" true
+    (Atomic.get lent > 0)
+
+(* A failure in a nested band reaches that fan-out's caller, whichever
+   domain ran the band, and the pool serves the next run normally. *)
+let test_run_tasks_nested_failure () =
+  let short_done = Atomic.make false in
+  let caught = Atomic.make 0 in
+  Band_pool.run_tasks ~bands:2 ~tasks:2 (fun task ->
+      if task = 1 then Atomic.set short_done true
+      else begin
+        wait_for short_done 50_000_000;
+        for _ = 1 to 5 do
+          match
+            held_pair_run (fun band -> if band = 1 then failwith "nested band")
+          with
+          | () -> ()
+          | exception Failure message ->
+              if String.equal message "nested band" then Atomic.incr caught
+        done
+      end);
+  Helpers.check_int "every nested failure surfaced" 5 (Atomic.get caught);
+  let hit = Array.make 4 false in
+  Band_pool.run_tasks ~bands:2 ~tasks:4 (fun i -> hit.(i) <- true);
+  Helpers.check_bool "pool usable after nested failures" true
+    (Array.for_all Fun.id hit)
+
+(* The first task failure is re-raised once every band has finished,
+   and tasks not yet started are abandoned: with task 0 failing at once
+   and every other task busy for a while, far fewer than all start. *)
+let test_run_tasks_failure () =
+  let tasks = 10_000 in
+  let started = Atomic.make 0 in
+  let idle = Atomic.make false in
+  (match
+     Band_pool.run_tasks ~bands:2 ~tasks (fun i ->
+         Atomic.incr started;
+         if i = 0 then failwith "task 0" else wait_for idle 1_000)
+   with
+  | () -> Alcotest.fail "task failure was swallowed"
+  | exception Failure message ->
+      Helpers.check_bool "the failing task's exception" true
+        (String.equal message "task 0"));
+  Helpers.check_bool "later tasks abandoned" true
+    (Atomic.get started < tasks);
+  Helpers.check_raises_invalid "bands=0 rejected" (fun () ->
+      Band_pool.run_tasks ~bands:0 ~tasks:1 ignore);
+  Helpers.check_raises_invalid "tasks<0 rejected" (fun () ->
+      Band_pool.run_tasks ~bands:2 ~tasks:(-1) ignore)
 
 (* Operand capacities straddling the new default threshold: below it the
    combine stays sequential, at or above it the pool dispatch runs — and
@@ -372,6 +522,124 @@ let test_arena_reuse_plateau () =
   Helpers.check_bool "warmed-up updates are served from the free list" true
     (Conv.Arena.reused arena > 0)
 
+(* Pool workers are persistent, so each keeps the arenas of the shapes
+   its tasks solved.  Solving three times [arena_limit] distinct shapes
+   through a 2-domain pool must leave no domain holding more than
+   [arena_limit] arenas. *)
+let test_arenas_bounded_per_domain () =
+  let shapes = 3 * Conv.arena_limit in
+  let held =
+    Crossbar_engine.Pool.run ~domains:2 ~tasks:shapes (fun k ->
+        let size = 4 + k in
+        ignore
+          (Conv.solve (Helpers.single_class_model ~classes:2 ~size 0.3)
+            : Conv.t);
+        ((Domain.self () :> int), Conv.arenas_held ()))
+  in
+  Array.iteri
+    (fun k (domain, n) ->
+      if n > Conv.arena_limit then
+        Alcotest.failf "task %d: domain %d holds %d arenas (limit %d)" k
+          domain n Conv.arena_limit)
+    held;
+  Helpers.check_bool "the caller's table is bounded too" true
+    (Conv.arenas_held () <= Conv.arena_limit)
+
+(* ---------- runtime allocation gate ---------- *)
+
+(* Minor-heap words the calling domain allocates while [f] runs
+   ([Gc.minor_words] counts the current domain only).
+
+   These gates assume the shipped build, the [release] profile that the
+   root dune-workspace selects.  Under [--profile dev] every module is
+   compiled with -opaque, the Lattice accessors in the kernel loop
+   become out-of-line calls that box each float, and a dense combine at
+   cap 256 allocates ~268k words instead of ~10: [dune runtest --profile
+   dev] is expected to fail both cases.  That is the gate working, not
+   a reason to raise the ceilings. *)
+let minor_words_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let check_allocation_ceiling label ~ceiling words =
+  if words > ceiling then
+    Alcotest.failf
+      "%s allocated %.0f minor words (ceiling %.0f).  This gate assumes \
+       the release profile that dune-workspace selects and is expected to \
+       fail under --profile dev; do not raise the ceiling for that."
+      label words ceiling
+
+let test_combine_allocation () =
+  let cap = 256 in
+  (* One band: the whole kernel runs on this domain, where the counter
+     can see it. *)
+  let ctx = context ~domains:1 cap in
+  let arena = Conv.arena ctx in
+  let a = make_profile ~cap ~stride:1 ~mag:0 71 in
+  let b = make_profile ~cap ~stride:1 ~mag:0 72 in
+  let combine_and_release () =
+    Conv.Arena.release arena (Conv.combine ctx a b)
+  in
+  (* Warm-up: the arena's scratch and free list exist from here on. *)
+  combine_and_release ();
+  combine_and_release ();
+  check_allocation_ceiling "dense combine at cap 256" ~ceiling:32.
+    (minor_words_of combine_and_release)
+
+let test_solve_delta_allocation () =
+  let model load = Helpers.single_class_model ~classes:8 ~size:256 load in
+  let chained = ref (Conv.solve (model 0.05)) in
+  let step next () =
+    chained := Conv.solve_delta ~recycle:true ~previous:!chained next
+  in
+  (* Warm-up primes the arena free list with the recycled nodes. *)
+  List.iter (fun load -> step (model load) ()) [ 0.06; 0.07; 0.08 ];
+  check_allocation_ceiling "8-class solve_delta (one class changed)"
+    ~ceiling:16_000.
+    (minor_words_of (step (model 0.09)))
+
+(* The release profile's flags in dune-workspace restate, by hand, the
+   warning set that dune's dev profile uses for the dune language
+   version of dune-project.  dune extends that set in later language
+   versions (3.3 adds warnings 67 and 69), so a version bump must bring
+   the list along; this case fails until it does. *)
+let test_release_flags_track_dune_lang () =
+  let read path = In_channel.with_open_text path In_channel.input_all in
+  let first_line text =
+    match String.index_opt text '\n' with
+    | Some i -> String.sub text 0 i
+    | None -> text
+  in
+  let lang = first_line (read "../dune-project") in
+  if not (String.equal lang "(lang dune 3.0)") then
+    Alcotest.failf
+      "dune-project now says %s; update the release flags in \
+       dune-workspace to that version's dev warning set, then this check"
+      lang;
+  let workspace = read "../dune-workspace" in
+  let contains text needle =
+    let n = String.length needle in
+    let rec from i =
+      i + n <= String.length text
+      && (String.equal (String.sub text i n) needle || from (i + 1))
+    in
+    from 0
+  in
+  List.iter
+    (fun flag ->
+      Helpers.check_bool
+        (Printf.sprintf "dune-workspace release flags carry %s" flag)
+        true (contains workspace flag))
+    [
+      "(profile release)";
+      "@1..3@5..28@30..39@43@46..47@49..57@61..62-40";
+      "-strict-sequence";
+      "-strict-formats";
+      "-short-paths";
+      "-keep-locs";
+    ]
+
 (* ---------- one-pass normalize ---------- *)
 
 let reference_normalize l =
@@ -475,6 +743,10 @@ let () =
             test_banded_determinism;
           Helpers.case "strided operands" test_banded_strided;
           Helpers.case "more bands than outputs" test_more_bands_than_outputs;
+          Helpers.case "inside a pool task bit-identical"
+            test_banded_inside_pool_task;
+          Helpers.case "in an unbalanced pool run bit-identical"
+            test_banded_in_unbalanced_pool_run;
           Helpers.qcheck banded_bit_identity_at_threshold;
         ] );
       ( "band pool",
@@ -486,6 +758,12 @@ let () =
           Helpers.case "caller band outranks worker failures"
             test_pool_caller_band_wins;
           Helpers.case "degenerate band counts" test_pool_degenerate;
+          Helpers.case "idle task band lends to nested runs"
+            test_run_tasks_lends_idle_band;
+          Helpers.case "nested band failure reaches its caller"
+            test_run_tasks_nested_failure;
+          Helpers.case "task failure re-raised, rest abandoned"
+            test_run_tasks_failure;
         ] );
       ( "arena recycling",
         [
@@ -495,6 +773,16 @@ let () =
             test_leave_one_out_stable_across_sweeps;
           Helpers.case "allocation plateau after warm-up"
             test_arena_reuse_plateau;
+          Helpers.case "arenas per domain bounded" test_arenas_bounded_per_domain;
+        ] );
+      ( "allocation",
+        [
+          Helpers.case "dense combine at cap 256 allocates <= 32 words"
+            test_combine_allocation;
+          Helpers.case "solve_delta at cap 256 allocates <= 16k words"
+            test_solve_delta_allocation;
+          Helpers.case "release flags track the dune language"
+            test_release_flags_track_dune_lang;
         ] );
       ( "normalize",
         [
