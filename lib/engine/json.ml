@@ -25,11 +25,16 @@ let escape_string b s =
     s;
   Buffer.add_char b '"'
 
+(* The C formatter [Printf.sprintf "%.17g"] ends up in, called directly:
+   the same bytes without the format interpretation and its
+   allocations. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let float_literal f =
   (* RFC 8259 has no inf/nan; callers treat [null] as "not measured". *)
   if not (Float.is_finite f) then "null"
   else begin
-    let s = Printf.sprintf "%.17g" f in
+    let s = format_float "%.17g" f in
     (* Guarantee the token re-parses as a float, not an int. *)
     if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
     else s ^ ".0"

@@ -90,10 +90,7 @@ let record_outcome telemetry outcome =
   | Some t ->
       Telemetry.record t
         {
-          Telemetry.label = outcome.point.label;
-          algorithm =
-            Solver.algorithm_to_string outcome.solution.Solver.algorithm;
-          wall_seconds = outcome.wall_seconds;
+          Telemetry.wall_seconds = outcome.wall_seconds;
           lattice_cells = outcome.solution.Solver.lattice_cells;
           rescales = outcome.solution.Solver.rescales;
           tree_combines =
@@ -102,7 +99,6 @@ let record_outcome telemetry outcome =
           banded_combines =
             (if outcome.from_cache then 0
              else outcome.solution.Solver.banded_combines);
-          from_cache = outcome.from_cache;
           from_incremental = outcome.from_incremental;
         }
 
@@ -148,8 +144,9 @@ let run ?domains ?cache ?telemetry ?(incremental = false) points =
       Array.concat (Array.to_list chunks)
     end
   in
-  (* Record after the pool run returns so the telemetry stream is in point
-     order no matter which domain solved what. *)
+  (* Record after the pool run returns, in point order, so the aggregates
+     (the float wall-time sum included) do not depend on which domain
+     solved what. *)
   Array.iter (record_outcome telemetry) outcomes;
   outcomes
 

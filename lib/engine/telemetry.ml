@@ -1,18 +1,79 @@
 type solve = {
-  label : string;
-  algorithm : string;
   wall_seconds : float;
   lattice_cells : int;
   rescales : int;
   tree_combines : int;
   banded_combines : int;
-  from_cache : bool;
   from_incremental : bool;
 }
 
-type t = { mutex : Mutex.t; mutable rev_solves : solve list }
+(* Log-bucketed wall-time histogram.  A positive double's top bits, read
+   as an integer, are its biased exponent followed by its mantissa; the
+   exponent and the top [sub_bits] mantissa bits ([key]) split every
+   power of two into 32 buckets, each with an upper edge at most
+   (1 + 2^-5) times its lower edge.  The in-range keys cover
+   [2^min_exponent, 2^(min_exponent + octaves)) seconds — about 1 ns to
+   73 h; bucket 0 holds exact zeros, bucket 1 positive walls below that
+   range and the last bucket walls above it. *)
+let sub_bits = 5
+let mantissa_shift = 52 - sub_bits
+let min_exponent = -30
+let octaves = 48
+let first_key = (min_exponent + 1023) lsl sub_bits
+let range_buckets = octaves lsl sub_bits
+let buckets = range_buckets + 3
 
-let create () = { mutex = Mutex.create (); rev_solves = [] }
+(* [wall] is non-negative (or +inf); reads its key without allocating. *)
+let bucket wall =
+  if not (wall > 0.) then 0
+  else begin
+    let key =
+      Int64.to_int
+        (Int64.shift_right_logical (Int64.bits_of_float wall) mantissa_shift)
+    in
+    let offset = key - first_key in
+    if offset < 0 then 1 else if offset >= range_buckets then buckets - 1
+    else offset + 2
+  end
+
+(* Smallest value above every wall bucket [i] can hold: the next key's
+   lower edge.  The caller clamps it to the exact maximum. *)
+let upper_edge i =
+  if i = 0 then 0.
+  else if i = 1 then Float.ldexp 1. min_exponent
+  else if i = buckets - 1 then Float.infinity
+  else
+    Int64.float_of_bits
+      (Int64.shift_left (Int64.of_int (first_key + i - 1)) mantissa_shift)
+
+(* Float accumulators in their own all-float record: OCaml stores its
+   fields unboxed, so updating them allocates nothing. *)
+type walls = { mutable total : float; mutable max : float }
+
+type t = {
+  mutex : Mutex.t;
+  walls : walls;
+  histogram : int array;
+  mutable solves : int;
+  mutable lattice_cells : int;
+  mutable rescales : int;
+  mutable tree_combines : int;
+  mutable banded_combines : int;
+  mutable incremental_solves : int;
+}
+
+let create () =
+  {
+    mutex = Mutex.create ();
+    walls = { total = 0.; max = 0. };
+    histogram = Array.make buckets 0;
+    solves = 0;
+    lattice_cells = 0;
+    rescales = 0;
+    tree_combines = 0;
+    banded_combines = 0;
+    incremental_solves = 0;
+  }
 
 let locked t f =
   Mutex.lock t.mutex;
@@ -22,88 +83,61 @@ let record t solve =
   (* Wall times come from Engine.Clock (monotonic), so negatives cannot
      arise from there; clamp anyway so no caller-supplied reading can
      ever make totals or percentiles go backwards. *)
-  let solve =
-    if solve.wall_seconds < 0. then { solve with wall_seconds = 0. }
-    else solve
-  in
-  locked t (fun () -> t.rev_solves <- solve :: t.rev_solves)
+  let wall = if solve.wall_seconds > 0. then solve.wall_seconds else 0. in
+  let b = bucket wall in
+  (* Bare lock/unlock rather than [locked]: nothing between them can
+     raise, and a closure here would allocate on every request. *)
+  Mutex.lock t.mutex;
+  t.solves <- t.solves + 1;
+  t.walls.total <- t.walls.total +. wall;
+  if wall > t.walls.max then t.walls.max <- wall;
+  t.histogram.(b) <- t.histogram.(b) + 1;
+  t.lattice_cells <- t.lattice_cells + solve.lattice_cells;
+  t.rescales <- t.rescales + solve.rescales;
+  t.tree_combines <- t.tree_combines + solve.tree_combines;
+  t.banded_combines <- t.banded_combines + solve.banded_combines;
+  if solve.from_incremental then
+    t.incremental_solves <- t.incremental_solves + 1;
+  Mutex.unlock t.mutex
 
-let solves t = locked t (fun () -> List.rev t.rev_solves)
-let count t = locked t (fun () -> List.length t.rev_solves)
+let count t = locked t (fun () -> t.solves)
+let total_wall_seconds t = locked t (fun () -> t.walls.total)
 
-let total_wall_seconds t =
-  locked t (fun () ->
-      List.fold_left (fun acc s -> acc +. s.wall_seconds) 0. t.rev_solves)
-
-(* Nearest-rank percentile over ascending [sorted]: the smallest element
-   with at least [p] of the mass at or below it. *)
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
+(* Histogram estimate of the nearest-rank percentile (the smallest wall
+   with at least [p] of the mass at or below it): the upper edge of the
+   bucket holding that wall, clamped to the exact maximum.  Caller holds
+   the lock. *)
+let percentile t p =
+  if t.solves = 0 then 0.
   else begin
-    let rank = int_of_float (Float.ceil (p *. float_of_int n)) in
-    sorted.(min (n - 1) (max 0 (rank - 1)))
+    let rank = int_of_float (Float.ceil (p *. float_of_int t.solves)) in
+    let rank = max 1 (min t.solves rank) in
+    let rec find i seen =
+      let seen = seen + t.histogram.(i) in
+      if seen >= rank || i = buckets - 1 then i else find (i + 1) seen
+    in
+    Float.min (upper_edge (find 0 0)) t.walls.max
   end
 
-(* [(p50, p95, max)] of an unsorted wall-time array (sorted in place). *)
-let percentiles_of_walls walls =
-  (* lint: disable=R7 — total order for sorting, not a tolerance test *)
-  Array.sort Float.compare walls;
-  let n = Array.length walls in
-  let maximum = if n = 0 then 0. else walls.(n - 1) in
-  (percentile walls 0.5, percentile walls 0.95, maximum)
-
-let wall_percentiles t =
-  let walls =
-    locked t (fun () ->
-        Array.of_list (List.rev_map (fun s -> s.wall_seconds) t.rev_solves))
-  in
-  percentiles_of_walls walls
-
-let solve_to_json s =
-  Json.Assoc
-    [
-      ("label", Json.String s.label);
-      ("algorithm", Json.String s.algorithm);
-      ("wall_seconds", Json.Float s.wall_seconds);
-      ("lattice_cells", Json.Int s.lattice_cells);
-      ("rescales", Json.Int s.rescales);
-      ("tree_combines", Json.Int s.tree_combines);
-      ("banded_combines", Json.Int s.banded_combines);
-      ("from_cache", Json.Bool s.from_cache);
-      ("from_incremental", Json.Bool s.from_incremental);
-    ]
-
 let to_json ?cache ?domains t =
-  (* One lock acquisition for the whole document: the solve count, the
-     wall-time totals, the percentiles and the record list all come from
-     this single snapshot, so a record landing concurrently can never
-     make the emitted fields disagree with each other. *)
-  let solves = locked t (fun () -> List.rev t.rev_solves) in
-  let walls = Array.of_list (List.map (fun s -> s.wall_seconds) solves) in
-  let total_wall = Array.fold_left ( +. ) 0. walls in
-  let p50, p95, wall_max = percentiles_of_walls walls in
+  (* One lock acquisition for the whole summary: the solve count, the
+     wall-time totals and the percentiles all come from this single
+     snapshot, so a record landing concurrently can never make the
+     emitted fields disagree with each other. *)
   let base =
-    [
-      ("solves", Json.Int (List.length solves));
-      ("wall_seconds", Json.Float total_wall);
-      ("wall_seconds_p50", Json.Float p50);
-      ("wall_seconds_p95", Json.Float p95);
-      ("wall_seconds_max", Json.Float wall_max);
-      ( "lattice_cells",
-        Json.Int (List.fold_left (fun acc s -> acc + s.lattice_cells) 0 solves)
-      );
-      ("rescales", Json.Int (List.fold_left (fun acc s -> acc + s.rescales) 0 solves));
-      ( "tree_combines",
-        Json.Int (List.fold_left (fun acc s -> acc + s.tree_combines) 0 solves)
-      );
-      ( "banded_combines",
-        Json.Int
-          (List.fold_left (fun acc s -> acc + s.banded_combines) 0 solves) );
-      ( "incremental_solves",
-        Json.Int
-          (List.length (List.filter (fun s -> s.from_incremental) solves)) );
-    ]
+    locked t (fun () ->
+        [
+          ("solves", Json.Int t.solves);
+          ("wall_seconds", Json.Float t.walls.total);
+          ("wall_seconds_p50", Json.Float (percentile t 0.5));
+          ("wall_seconds_p95", Json.Float (percentile t 0.95));
+          ("wall_seconds_max", Json.Float t.walls.max);
+          ("lattice_cells", Json.Int t.lattice_cells);
+          ("rescales", Json.Int t.rescales);
+          ("tree_combines", Json.Int t.tree_combines);
+          ("banded_combines", Json.Int t.banded_combines);
+          ("incremental_solves", Json.Int t.incremental_solves);
+        ])
   in
   let pool =
     match domains with None -> [] | Some d -> [ ("domains", Json.Int d) ]
@@ -124,6 +158,4 @@ let to_json ?cache ?domains t =
               ] );
         ]
   in
-  Json.Assoc
-    (base @ pool @ cache_fields
-    @ [ ("records", Json.List (List.map solve_to_json solves)) ])
+  Json.Assoc (base @ pool @ cache_fields)

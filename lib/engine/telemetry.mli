@@ -1,15 +1,16 @@
-(** Per-solve telemetry collected by the sweep engine.
+(** Fixed-size solve telemetry collected by the sweep engine and the
+    serve daemon.
 
-    Every solve the engine performs is recorded: what ran, how long it
-    took on the wall clock, how much lattice work it implied, how many
-    dynamic rescales the convolution needed, and whether the result came
-    from the cache.  Records render to the JSON schema documented in
-    DESIGN.md ("Telemetry schema"), which the serve daemon's [stats] op
-    embeds. *)
+    Every solve the engine performs is folded into a constant-size set
+    of aggregates: how many solves ran, their total and maximum wall
+    time, a log-bucketed wall-time histogram for percentiles, and the
+    lattice work, dynamic rescales and factor-tree combines they
+    implied.  No per-solve record is kept, so a collector's memory does
+    not depend on how many solves it has seen.  The aggregates render to
+    the JSON schema documented in DESIGN.md ("Telemetry schema"), which
+    the serve daemon's [stats] op embeds. *)
 
 type solve = {
-  label : string;  (** caller-supplied point label *)
-  algorithm : string;  (** {!Crossbar.Solver.algorithm_to_string} *)
   wall_seconds : float;
       (** wall time of this [find_or_solve] call; near zero on hits *)
   lattice_cells : int;
@@ -21,40 +22,37 @@ type solve = {
   banded_combines : int;
       (** how many of those combines ran the banded parallel kernel
           ({!Crossbar.Solver.solution}[.banded_combines]) *)
-  from_cache : bool;
   from_incremental : bool;
       (** the solve reused factor-tree nodes from the previous sweep
           point ({!Crossbar.Convolution.solve_delta}) *)
 }
+(** One solve as its caller reports it; {!record} folds it into the
+    aggregates and keeps no reference to it. *)
 
 type t
 
 val create : unit -> t
 
 val record : t -> solve -> unit
-(** Append a record (domain-safe).  A negative [wall_seconds] — which a
-    non-monotonic time source could produce — is clamped to [0.] before
-    it is stored, so totals and percentiles never move backwards; use
-    {!Clock} to take wall-time deltas and the clamp never fires. *)
-
-val solves : t -> solve list
-(** Records in the order they were appended. *)
+(** Fold one solve into the aggregates (domain-safe, O(1), allocates
+    nothing).  A negative [wall_seconds] — which a non-monotonic time
+    source could produce — is clamped to [0.] first, so totals and
+    percentiles never move backwards; use {!Clock} to take wall-time
+    deltas and the clamp never fires. *)
 
 val count : t -> int
+(** Solves recorded so far. *)
 
 val total_wall_seconds : t -> float
-(** Sum of [wall_seconds] over all records. *)
-
-val wall_percentiles : t -> float * float * float
-(** [(p50, p95, max)] of per-solve [wall_seconds], nearest-rank over all
-    records; [(0., 0., 0.)] when empty. *)
-
-val solve_to_json : solve -> Json.t
+(** Sum of [wall_seconds] over all recorded solves. *)
 
 val to_json : ?cache:Cache.t -> ?domains:int -> t -> Json.t
-(** The full collector as one JSON object: aggregate counters, optional
-    cache hit/miss statistics and pool width, then the per-solve record
-    list.  All fields derive from a {e single} locked snapshot of the
-    record list, so the emitted [solves] count, totals, percentiles and
-    [records] always describe the same instant even while other domains
-    keep recording. *)
+(** The collector as one JSON object: aggregate counters, then optional
+    cache hit/miss statistics and pool width.  [wall_seconds_max] is
+    exact; [wall_seconds_p50]/[_p95] are histogram estimates of the
+    nearest-rank percentiles, never below the exact value, at most
+    2{^-5} above it for walls in \[2{^-30}, 2{^18}) seconds (and exact
+    for zero walls), and never above [wall_seconds_max].  All fields
+    derive from a {e single} locked snapshot, so the emitted [solves]
+    count, totals and percentiles always describe the same instant even
+    while other domains keep recording. *)

@@ -164,17 +164,8 @@ let handle_admit registry ~tree ~class_index ~weights =
           end)
 
 let stats_fields ~registry ~telemetry ~domains =
-  (* One consistent telemetry snapshot, minus the unbounded per-solve
-     record list (a long-running daemon would make it enormous). *)
-  let summary =
-    match Telemetry.to_json telemetry with
-    | Json.Assoc fields ->
-        Json.Assoc
-          (List.filter (fun (key, _) -> not (String.equal key "records")) fields)
-    | other -> other
-  in
   [
-    ("telemetry", summary);
+    ("telemetry", Telemetry.to_json telemetry);
     ("registry", Registry.stats_json registry);
     ("domains", Json.Int domains);
   ]
@@ -184,7 +175,6 @@ let stats_fields ~registry ~telemetry ~domains =
 let handle ~registry ~telemetry ~domains (request : Protocol.request) =
   let started = Clock.now () in
   let op = Protocol.op_name request.Protocol.query in
-  let tree = Protocol.tree_name request.Protocol.query in
   let outcome =
     match request.Protocol.query with
     | Protocol.Solve { tree; model } -> handle_solve registry ~tree model
@@ -205,15 +195,12 @@ let handle ~registry ~telemetry ~domains (request : Protocol.request) =
   let solved =
     match outcome with Ok (_, solved) -> solved | Error _ -> None
   in
-  let label = match tree with Some t -> op ^ ":" ^ t | None -> op in
   let record =
     match solved with
     | Some ({ Registry.solved; _ }, from_hot) ->
         let solution = Solver.solution_of_convolution solved in
         {
-          Telemetry.label;
-          algorithm = Solver.algorithm_to_string solution.Solver.algorithm;
-          wall_seconds = Clock.elapsed_since started;
+          Telemetry.wall_seconds = Clock.elapsed_since started;
           lattice_cells = solution.Solver.lattice_cells;
           rescales = solution.Solver.rescales;
           (* Reads off a hot tree do no combine work; only solve/delta
@@ -228,10 +215,6 @@ let handle ~registry ~telemetry ~domains (request : Protocol.request) =
             | Protocol.Solve _ | Protocol.Delta _ ->
                 solution.Solver.banded_combines
             | _ -> 0);
-          from_cache =
-            (match request.Protocol.query with
-            | Protocol.Solve _ | Protocol.Delta _ -> false
-            | _ -> true);
           from_incremental =
             (match request.Protocol.query with
             | Protocol.Solve _ | Protocol.Delta _ -> from_hot
@@ -239,14 +222,11 @@ let handle ~registry ~telemetry ~domains (request : Protocol.request) =
         }
     | None ->
         {
-          Telemetry.label;
-          algorithm = "serve";
-          wall_seconds = Clock.elapsed_since started;
+          Telemetry.wall_seconds = Clock.elapsed_since started;
           lattice_cells = 0;
           rescales = 0;
           tree_combines = 0;
           banded_combines = 0;
-          from_cache = false;
           from_incremental = false;
         }
   in

@@ -27,9 +27,9 @@ val execute :
   Protocol.request array ->
   outcome
 (** Serve one batch.  Every request — including failures, [stats] and
-    [shutdown] — produces exactly one response and one telemetry record
-    whose [wall_seconds] is the request's service time on the monotonic
-    clock ({!Crossbar_engine.Clock}).  Solver errors
+    [shutdown] — produces exactly one response and is recorded once in
+    [telemetry], with the request's service time on the monotonic clock
+    ({!Crossbar_engine.Clock}) as its [wall_seconds].  Solver errors
     ([Invalid_argument], [Failure]) and unknown trees become [ok:false]
     responses, never exceptions: a malformed query must not take the
     daemon down.  [domains] bounds the pool

@@ -150,13 +150,8 @@ let run ?(config = default_config) ~input ~output () =
   let pending : (conn * item) Queue.t = Queue.create () in
   (* Pop the oldest [batch_limit] pending items as one batch. *)
   let take_batch () =
-    let batch = ref [] in
-    while
-      List.length !batch < config.batch_limit && not (Queue.is_empty pending)
-    do
-      batch := Queue.pop pending :: !batch
-    done;
-    Array.of_list (List.rev !batch)
+    let size = min config.batch_limit (Queue.length pending) in
+    Array.init size (fun _ -> Queue.pop pending)
   in
   (* The well-formed requests of a batch, each with its batch index —
      deterministic in the batch, so dispatch and respond can both

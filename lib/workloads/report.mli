@@ -9,7 +9,7 @@
     {!Crossbar_engine.Sweep}: pass [?domains] to control the pool width
     (default {!Crossbar_engine.Pool.recommended_domains}), [?cache] to
     share solved models across sections, and [?telemetry] to collect
-    per-solve records.  Output is byte-identical for every domain
+    solve aggregates.  Output is byte-identical for every domain
     count.
 
     [?incremental] forwards to {!Crossbar_engine.Sweep.run}: points of a

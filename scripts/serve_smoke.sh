@@ -56,6 +56,41 @@ if grep -q '"ok":false' "$OUT"; then
   grep '"ok":false' "$OUT" >&2
   exit 1
 fi
+# The stats response (id 6) follows the five tree queries: its telemetry
+# must count exactly those and carry fixed-size aggregates only, never a
+# per-request record list.
+if command -v python3 >/dev/null 2>&1; then
+  python3 - "$OUT" <<'PYEOF'
+import json, sys
+
+with open(sys.argv[1]) as out:
+    responses = [json.loads(line) for line in out if line.strip()]
+stats = next((r for r in responses if r.get("id") == 6), None)
+if stats is None:
+    sys.exit("FATAL: no stats response (id 6)")
+telemetry = stats.get("telemetry")
+if not isinstance(telemetry, dict):
+    sys.exit(f"FATAL: stats response lacks a telemetry object: {stats}")
+if telemetry.get("solves") != 5:
+    sys.exit(f"FATAL: stats telemetry.solves is {telemetry.get('solves')}, expected 5")
+if "records" in telemetry:
+    sys.exit("FATAL: stats telemetry carries a records list")
+PYEOF
+else
+  stats_line=$(grep '"id":6,' "$OUT" || true)
+  if [ -z "$stats_line" ]; then
+    echo "FATAL: no stats response (id 6)" >&2
+    exit 1
+  fi
+  if ! printf '%s\n' "$stats_line" | grep -q '"telemetry":{"solves":5,'; then
+    echo "FATAL: stats telemetry.solves is not 5: $stats_line" >&2
+    exit 1
+  fi
+  if printf '%s\n' "$stats_line" | grep -q '"records"'; then
+    echo "FATAL: stats telemetry carries a records list" >&2
+    exit 1
+  fi
+fi
 echo "stdin round: 7/7 ok"
 
 # ---- round 2: same stream through the Unix-domain socket ----

@@ -453,56 +453,83 @@ let test_solve_full_matches_components () =
 
 (* ---------- telemetry ---------- *)
 
-let test_telemetry_records_in_point_order () =
+let json_float key json =
+  match Json.member key json with
+  | Some (Json.Float f) -> f
+  | _ -> Alcotest.failf "telemetry json lacks float %s" key
+
+let json_int key json =
+  match Json.member key json with
+  | Some (Json.Int n) -> n
+  | _ -> Alcotest.failf "telemetry json lacks int %s" key
+
+let wall_summary telemetry =
+  let json = Telemetry.to_json telemetry in
+  ( json_float "wall_seconds_p50" json,
+    json_float "wall_seconds_p95" json,
+    json_float "wall_seconds_max" json )
+
+let bits_identical a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The percentile estimate's documented bound: never below the exact
+   value, at most 2^-5 above it. *)
+let histogram_slack = 1. +. Float.ldexp 1. (-5)
+
+let within_slack ~exact estimate =
+  estimate >= exact && estimate <= exact *. histogram_slack
+
+let test_telemetry_sweep_aggregates () =
   let telemetry = Telemetry.create () in
   let points =
     List.map
       (fun (label, model) -> Sweep.point ~label model)
       (validation_models ())
   in
-  ignore (Sweep.run ~domains:3 ~telemetry points);
-  let labels = List.map (fun s -> s.Telemetry.label) (Telemetry.solves telemetry) in
-  check_bool "labels in point order" true
-    (labels = List.map (fun p -> p.Sweep.label) points);
+  let outcomes = Sweep.run ~domains:3 ~telemetry points in
+  let json = Telemetry.to_json telemetry in
+  check_int "one solve per point" (List.length points)
+    (Telemetry.count telemetry);
+  check_int "solves field" (List.length points) (json_int "solves" json);
   check_bool "wall time accumulates" true
     (Telemetry.total_wall_seconds telemetry >= 0.);
-  List.iter
-    (fun s ->
-      check_bool "cells recorded" true (s.Telemetry.lattice_cells > 0);
-      check_int "no rescales at these sizes" 0 s.Telemetry.rescales)
-    (Telemetry.solves telemetry)
+  check_int "cells summed over points"
+    (Array.fold_left
+       (fun acc (o : Sweep.outcome) ->
+         acc + o.Sweep.solution.Solver.lattice_cells)
+       0 outcomes)
+    (json_int "lattice_cells" json);
+  check_bool "cells recorded" true (json_int "lattice_cells" json > 0);
+  check_int "no rescales at these sizes" 0 (json_int "rescales" json)
 
 let wall_record wall =
   {
-    Telemetry.label = "synthetic";
-    algorithm = "convolution";
-    wall_seconds = wall;
+    Telemetry.wall_seconds = wall;
     lattice_cells = 1;
     rescales = 0;
     tree_combines = 0;
     banded_combines = 0;
-    from_cache = false;
     from_incremental = false;
   }
 
 let test_telemetry_wall_percentiles () =
-  let empty = Telemetry.create () in
-  let p50, p95, wall_max = Telemetry.wall_percentiles empty in
+  let p50, p95, wall_max = wall_summary (Telemetry.create ()) in
   check_close "empty p50" 0. p50;
   check_close "empty p95" 0. p95;
   check_close "empty max" 0. wall_max;
+  (* A single wall: every estimate clamps to the exact maximum. *)
   let single = Telemetry.create () in
   Telemetry.record single (wall_record 0.5);
-  let p50, p95, wall_max = Telemetry.wall_percentiles single in
+  let p50, p95, wall_max = wall_summary single in
   check_close "single p50" 0.5 p50;
   check_close "single p95" 0.5 p95;
   check_close "single max" 0.5 wall_max;
   (* Nearest rank over {1..4} recorded out of order: p50 is the 2nd
-     smallest, p95 the 4th. *)
+     smallest, p95 the 4th (the maximum, so exact). *)
   let four = Telemetry.create () in
   List.iter (fun w -> Telemetry.record four (wall_record w)) [ 3.; 1.; 4.; 2. ];
-  let p50, p95, wall_max = Telemetry.wall_percentiles four in
-  check_close "p50 nearest rank" 2. p50;
+  let p50, p95, wall_max = wall_summary four in
+  check_bool "p50 nearest rank" true (within_slack ~exact:2. p50);
   check_close "p95 nearest rank" 4. p95;
   check_close "max" 4. wall_max;
   (* 20 records: p95 must exclude only the top record. *)
@@ -510,84 +537,140 @@ let test_telemetry_wall_percentiles () =
   for i = 20 downto 1 do
     Telemetry.record twenty (wall_record (float_of_int i))
   done;
-  let p50, p95, wall_max = Telemetry.wall_percentiles twenty in
-  check_close "p50 of 20" 10. p50;
-  check_close "p95 of 20" 19. p95;
+  let p50, p95, wall_max = wall_summary twenty in
+  check_bool "p50 of 20" true (within_slack ~exact:10. p50);
+  check_bool "p95 of 20" true (within_slack ~exact:19. p95);
+  check_bool "p95 below the top record" true (p95 < 20.);
   check_close "max of 20" 20. wall_max
+
+(* Nearest rank over ascending [sorted], as DESIGN.md defines p50/p95. *)
+let nearest_rank sorted p =
+  let n = Array.length sorted in
+  let rank = int_of_float (Float.ceil (p *. float_of_int n)) in
+  sorted.(min (n - 1) (max 0 (rank - 1)))
+
+let telemetry_percentiles_prop =
+  (* Zeros plus walls spread over the histogram's whole range
+     [2^-30, 2^18) seconds, with repeats. *)
+  let wall =
+    QCheck2.Gen.(
+      frequency
+        [
+          (1, pure 0.);
+          ( 9,
+            map2
+              (fun mantissa exponent -> Float.ldexp (1. +. mantissa) exponent)
+              (float_bound_exclusive 1.) (int_range (-30) 17) );
+        ])
+  in
+  QCheck2.Test.make
+    ~name:"telemetry: p50/p95 within 2^-5 of nearest rank, max exact"
+    ~count:300
+    QCheck2.Gen.(list_size (int_range 1 200) wall)
+    (fun walls ->
+      let telemetry = Telemetry.create () in
+      List.iter (fun w -> Telemetry.record telemetry (wall_record w)) walls;
+      let sorted = Array.of_list walls in
+      (* lint: disable=R7 — total order for sorting, not a tolerance test *)
+      Array.sort Float.compare sorted;
+      let p50, p95, wall_max = wall_summary telemetry in
+      let exact_max = sorted.(Array.length sorted - 1) in
+      within_slack ~exact:(nearest_rank sorted 0.5) p50
+      && within_slack ~exact:(nearest_rank sorted 0.95) p95
+      && p95 <= exact_max
+      && bits_identical wall_max exact_max)
 
 let test_telemetry_clamps_negative_wall () =
   (* A non-monotonic time source could hand record a negative delta;
-     it must be stored as zero so totals and percentiles never move
+     it must count as zero so totals and percentiles never move
      backwards. *)
   let telemetry = Telemetry.create () in
   Telemetry.record telemetry (wall_record (-0.25));
   Telemetry.record telemetry (wall_record 0.5);
-  (match Telemetry.solves telemetry with
-  | [ first; second ] ->
-      check_close "negative clamped to zero" 0. first.Telemetry.wall_seconds;
-      check_close "positive untouched" 0.5 second.Telemetry.wall_seconds
-  | _ -> Alcotest.fail "expected two records");
+  check_int "both counted" 2 (Telemetry.count telemetry);
   check_close "total never negative" 0.5
     (Telemetry.total_wall_seconds telemetry);
-  let p50, _, _ = Telemetry.wall_percentiles telemetry in
-  check_bool "percentiles non-negative" true (p50 >= 0.)
+  let p50, _, wall_max = wall_summary telemetry in
+  check_bool "clamped wall is the exact zero p50" true (bits_identical 0. p50);
+  check_close "max untouched" 0.5 wall_max;
+  let only_negative = Telemetry.create () in
+  Telemetry.record only_negative (wall_record (-1.));
+  let p50, p95, wall_max = wall_summary only_negative in
+  check_bool "all zero" true
+    (bits_identical 0. p50 && bits_identical 0. p95
+    && bits_identical 0. wall_max
+    && bits_identical 0. (Telemetry.total_wall_seconds only_negative))
 
 let test_telemetry_snapshot_consistent_under_load () =
   (* to_json must take ONE locked snapshot: while another domain keeps
-     recording, every emitted document must agree with itself — the
-     solve count equals the record list length, and the total equals the
-     sum over exactly those records. *)
+     recording equal walls, every emitted document must agree with
+     itself — the total is exactly [solves] walls (0.25 sums exactly)
+     and every record's lattice cell landed with its solve. *)
+  let wall = 0.25 in
   let telemetry = Telemetry.create () in
   let outcomes =
     Pool.run ~domains:2 ~tasks:2 (fun task ->
         if task = 0 then begin
-          for i = 1 to 500 do
-            Telemetry.record telemetry (wall_record (float_of_int i))
+          for _ = 1 to 5000 do
+            Telemetry.record telemetry (wall_record wall)
           done;
           true
         end
         else begin
           let consistent = ref true in
-          for _ = 1 to 50 do
-            match Telemetry.to_json telemetry with
-            | Json.Assoc _ as json ->
-                let count =
-                  match Json.member "solves" json with
-                  | Some (Json.Int n) -> n
-                  | _ -> -1
-                in
-                let records =
-                  match Json.member "records" json with
-                  | Some (Json.List rs) -> rs
-                  | _ -> []
-                in
-                let total =
-                  match Json.member "wall_seconds" json with
-                  | Some (Json.Float f) -> f
-                  | _ -> -1.
-                in
-                let sum =
-                  List.fold_left
-                    (fun acc r ->
-                      match Json.member "wall_seconds" r with
-                      | Some (Json.Float f) -> acc +. f
-                      | _ -> acc)
-                    0. records
-                in
-                if count <> List.length records then consistent := false;
-                if
-                  not
-                    (Int64.equal (Int64.bits_of_float total)
-                       (Int64.bits_of_float sum))
-                then consistent := false
-            | _ -> consistent := false
+          for _ = 1 to 200 do
+            let json = Telemetry.to_json telemetry in
+            let solves = json_int "solves" json in
+            if
+              not
+                (bits_identical
+                   (json_float "wall_seconds" json)
+                   (float_of_int solves *. wall)
+                && json_int "lattice_cells" json = solves)
+            then consistent := false
           done;
           !consistent
         end)
   in
   check_bool "recorder finished" true outcomes.(0);
   check_bool "every snapshot self-consistent" true outcomes.(1);
-  check_int "all records landed" 500 (Telemetry.count telemetry)
+  check_int "all records landed" 5000 (Telemetry.count telemetry)
+
+let test_telemetry_memory_bounded () =
+  (* The collector is fixed-size: a million more solves, spread over
+     every histogram region, leave its heap footprint unchanged. *)
+  let telemetry = Telemetry.create () in
+  let samples =
+    Array.map wall_record [| 0.; 1e-12; 3e-9; 1e-6; 0.02; 1.5; 7e3; 1e9 |]
+  in
+  let record_n n =
+    for i = 1 to n do
+      Telemetry.record telemetry samples.(i land 7)
+    done
+  in
+  record_n 1_000;
+  let after_thousand = Obj.reachable_words (Obj.repr telemetry) in
+  record_n 999_000;
+  check_int "a million solves recorded" 1_000_000 (Telemetry.count telemetry);
+  check_int "reachable words independent of solve count" after_thousand
+    (Obj.reachable_words (Obj.repr telemetry))
+
+let test_telemetry_record_allocates_nothing () =
+  let telemetry = Telemetry.create () in
+  let samples = Array.map wall_record [| 0.; 2.5e-7; 0.003; 4.; -1. |] in
+  let record_all () =
+    for i = 0 to 9_999 do
+      Telemetry.record telemetry samples.(i mod 5)
+    done
+  in
+  record_all ();
+  let before = Gc.minor_words () in
+  record_all ();
+  let words = Gc.minor_words () -. before in
+  if words > 0. then
+    Alcotest.failf
+      "10k Telemetry.record calls allocated %.0f minor words (expected 0)"
+      words
 
 (* ---------- monotonic clock ---------- *)
 
@@ -645,6 +728,43 @@ let test_json_float_fidelity () =
   check_bool "nan is null" true
     (String.equal (Json.to_string (Json.Float Float.nan)) "null")
 
+(* The float writer's contract, restated on top of [Printf.sprintf]:
+   non-finite -> null, otherwise %.17g with ".0" appended when the
+   token would otherwise read back as an int. *)
+let reference_float_literal f =
+  if not (Float.is_finite f) then "null"
+  else begin
+    let s = Printf.sprintf "%.17g" f in
+    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
+    else s ^ ".0"
+  end
+
+let float_writer_matches f =
+  String.equal (Json.to_string (Json.Float f)) (reference_float_literal f)
+
+let test_json_float_writer_edges () =
+  let two_53 = Float.ldexp 1. 53 in
+  List.iter
+    (fun f ->
+      if not (float_writer_matches f) then
+        Alcotest.failf "float writer: %S, expected %S"
+          (Json.to_string (Json.Float f))
+          (reference_float_literal f))
+    [
+      0.; -0.; Int64.float_of_bits 1L; -.Int64.float_of_bits 1L;
+      Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL; Float.min_float;
+      -.Float.min_float; Float.max_float; -.Float.max_float; 1e16; 1e17;
+      two_53 -. 1.; two_53; two_53 +. 1.; two_53 +. 2.;
+      (* 2^-25 has exactly 18 significant digits: %.17g rounds a tie. *)
+      Float.ldexp 1. (-25); Float.infinity; Float.neg_infinity; Float.nan;
+    ]
+
+let float_writer_prop =
+  QCheck2.Test.make ~name:"json: float writer matches sprintf %.17g"
+    ~count:100_000 ~print:(fun bits -> Printf.sprintf "0x%016Lx" bits)
+    QCheck2.Gen.int64
+    (fun bits -> float_writer_matches (Int64.float_of_bits bits))
+
 let test_json_rejects_malformed () =
   List.iter
     (fun text ->
@@ -692,17 +812,8 @@ let test_telemetry_json_shape () =
       check_bool "evictions" true
         (Json.member "evictions" cache_json = Some (Json.Int 0))
   | None -> Alcotest.fail "cache stats missing");
-  match Json.member "records" json with
-  | Some (Json.List [ first; second ]) ->
-      check_bool "first label" true
-        (Json.member "label" first = Some (Json.String "a"));
-      check_bool "first records its combines" true
-        (Json.member "tree_combines" first = Some (Json.Int 1));
-      check_bool "second from cache" true
-        (Json.member "from_cache" second = Some (Json.Bool true));
-      check_bool "cache hit does no combines" true
-        (Json.member "tree_combines" second = Some (Json.Int 0))
-  | _ -> Alcotest.fail "records list missing"
+  (* Fixed-size aggregates only: no per-solve record list. *)
+  check_bool "no records list" true (Json.member "records" json = None)
 
 let () =
   Alcotest.run "engine"
@@ -752,11 +863,15 @@ let () =
       ("determinism", [ qcheck sweep_determinism_prop ]);
       ( "telemetry",
         [
-          case "records in point order" test_telemetry_records_in_point_order;
+          case "sweep aggregates" test_telemetry_sweep_aggregates;
           case "wall-time percentiles" test_telemetry_wall_percentiles;
+          qcheck telemetry_percentiles_prop;
           case "negative wall time clamped" test_telemetry_clamps_negative_wall;
           case "snapshot consistent under load"
             test_telemetry_snapshot_consistent_under_load;
+          case "memory bounded" test_telemetry_memory_bounded;
+          case "record allocates nothing"
+            test_telemetry_record_allocates_nothing;
           case "json shape" test_telemetry_json_shape;
         ] );
       ( "clock",
@@ -768,6 +883,8 @@ let () =
         [
           case "roundtrip" test_json_roundtrip;
           case "float fidelity" test_json_float_fidelity;
+          case "float writer edge cases" test_json_float_writer_edges;
+          qcheck float_writer_prop;
           case "rejects malformed" test_json_rejects_malformed;
           case "member" test_json_member;
         ] );
