@@ -6,7 +6,7 @@
     flag).  Dispatching a band costs one lock/signal per worker —
     roughly an order of magnitude less than a [Domain.spawn]
     round-trip — which is what lets {!Convolution}'s banding threshold
-    sit near the point where the tiled kernel stops scaling instead of
+    sit near the point where the dense kernel stops scaling instead of
     far above it.
 
     The pool is shared by the whole process and grows on demand to the

@@ -36,11 +36,11 @@ module Logspace = Crossbar_numerics.Logspace
    docs/THEORY.md), which batches per-class marginal distributions and
    all R shadow costs out of a single solve.
 
-   The combine itself runs as a cache-blocked kernel over Bigarray
-   profiles with per-domain scratch arenas (zero major-heap allocation
-   after warm-up) and, above a capacity threshold, splits its output
-   into deterministic row bands computed by parallel domains — see
-   DESIGN.md, "Combine kernels". *)
+   The combine itself runs one contiguous pass per output over Bigarray
+   profiles and anti-diagonal weight tables, with per-domain scratch
+   arenas (zero major-heap allocation after warm-up) and, above a
+   capacity threshold, splits its output into deterministic row bands
+   computed by parallel domains — see DESIGN.md, "Combine kernels". *)
 
 (* Per-domain scratch for the combine hot path: two chunk-scaled operand
    copies, the borrowed chunk counts of the current prechunk, and a free
@@ -93,36 +93,47 @@ module Arena = struct
   let release t l = t.pool <- l :: t.pool
 end
 
-type floats =
-  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
 type context = {
   id : int; (* keys the context's arena in each domain's table *)
   n1 : int;
   n2 : int;
   cap : int; (* min n1 n2: used bandwidth never exceeds either side *)
-  w1 : Lattice.Grid.t;
-  w2 : Lattice.Grid.t;
+  w1 : Lattice.values; (* w_1(u, v) by anti-diagonal; see [weight_table] *)
+  w2 : Lattice.values; (* w_2(u, v), likewise *)
   band_threshold : int; (* cap >= this: parallelise a single combine *)
   band_domains : int; (* bands (domains) a banded combine splits into *)
   banded_total : int Atomic.t; (* banded combines through this context *)
-  ratios : floats; (* the diagonal's ratio_j(u), packed; see [ratio_table] *)
+  ratios : Lattice.values; (* the diagonal's ratio_j(u); see [ratio_table] *)
 }
 
 let next_context_id = Atomic.make 0
 
-let weight_grid ~ports ~cap =
-  let g = Lattice.Grid.create ~rows:(cap + 1) ~cols:(cap + 1) in
+(* The combine weights w_i(u, v), 0 <= u + v <= cap, packed one
+   anti-diagonal after another: (u, v) sits at [tri (u + v) + v], where
+   [tri t = t (t + 1) / 2] entries precede anti-diagonal [t].  Output
+   [t] of a combine sums over exactly that anti-diagonal, so its v-sum
+   reads both tables at consecutive addresses.  Each entry is the
+   running product along [u] for fixed [v], the recurrence's own
+   expression in its order (test_kernel keeps the row-major original as
+   the oracle).  Each of the (cap + 1)(cap + 2)/2 slots is written
+   exactly once, so the table needs no fill. *)
+let[@inline] tri t = t * (t + 1) / 2
+
+let weight_table ~ports ~cap =
+  let table =
+    Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (tri (cap + 1))
+  in
   for v = 0 to cap do
-    Lattice.Grid.unsafe_set g 0 v 1.;
+    Bigarray.Array1.set table (tri v + v) 1.;
     for u = 1 to cap - v do
       let j = u - 1 in
-      Lattice.Grid.unsafe_set g u v
-        (Lattice.Grid.unsafe_get g j v
+      Bigarray.Array1.set table
+        (tri (u + v) + v)
+        (Bigarray.Array1.get table (tri (j + v) + v)
         *. (float_of_int (ports - j - v) /. float_of_int (ports - j)))
     done
   done;
-  g
+  table
 
 (* The diagonal pass's weights (see [diagonal]),
      ratio_j(u) = prod_{i<u} ((N1-j-i)(N2-j-i)) / ((N1-i)(N2-i)),
@@ -133,8 +144,8 @@ let weight_grid ~ports ~cap =
    The running product is the division recurrence's own expression,
    evaluated in its order, so every entry — and with it every diagonal —
    is bit-identical to that recurrence (test_factor_tree keeps it as the
-   oracle).  Size cap (cap + 1) / 2 doubles: under half of one weight
-   grid. *)
+   oracle).  Size cap (cap + 1) / 2 doubles: just under one weight
+   table. *)
 let ratio_row cap j = (j * cap) - (j * (j - 1) / 2) - 1
 
 let ratio_table ~n1 ~n2 ~cap =
@@ -155,11 +166,6 @@ let ratio_table ~n1 ~n2 ~cap =
     done
   done;
   table
-
-(* Kernel block edge, in lattice entries.  It only keeps the grid rows
-   the inner loop touches cache-resident and never changes a result, so
-   it is a constant rather than a knob. *)
-let tile = 64
 
 (* Measured on the Band_pool dispatch path (see DESIGN.md, "Combine
    kernels"): a pool fan-out costs ~0.1 ms cold and far less once the
@@ -215,8 +221,8 @@ let context_of ?combine_threshold ?band_domains ~inputs ~outputs () =
     n1 = inputs;
     n2 = outputs;
     cap;
-    w1 = weight_grid ~ports:inputs ~cap;
-    w2 = weight_grid ~ports:outputs ~cap;
+    w1 = weight_table ~ports:inputs ~cap;
+    w2 = weight_table ~ports:outputs ~cap;
     band_threshold;
     band_domains;
     banded_total = Atomic.make 0;
@@ -224,6 +230,16 @@ let context_of ?combine_threshold ?band_domains ~inputs ~outputs () =
   }
 
 let context_capacity ctx = ctx.cap
+
+(* The one checked reader of the weight tables, for everything off the
+   kernel path. *)
+let weight ctx side u v =
+  if u < 0 || v < 0 || u + v > ctx.cap then
+    invalid_arg
+      (Printf.sprintf "Convolution.weight: (%d, %d) outside u + v <= %d" u v
+         ctx.cap);
+  let table = match side with `Inputs -> ctx.w1 | `Outputs -> ctx.w2 in
+  Bigarray.Array1.get table (tri (u + v) + v)
 
 (* Each domain keeps the arenas of the last [arena_limit] contexts it
    combined with, in a table of its own; a context's arena on a domain
@@ -290,11 +306,11 @@ let arenas_held () =
 let banded_total ctx = Atomic.get ctx.banded_total
 
 (* Process-wide bounded MRU cache of contexts, keyed on the switch
-   dimensions and the resolved knobs.  A context owns two
-   (cap+1)x(cap+1) weight grids (~150 MB at cap 3072) plus the
-   per-domain arenas whose free lists hold every recycled node — so
-   repeated default-knob builds of the same switch shape must share one
-   context, both to avoid rebuilding the grids and so that lattices
+   dimensions and the resolved knobs.  A context owns two packed weight
+   tables (~75 MB at cap 3072) and the diagonal's ratio table (~38 MB)
+   plus the per-domain arenas whose free lists hold every recycled node
+   — so repeated default-knob builds of the same switch shape must share
+   one context, both to avoid rebuilding the tables and so that lattices
    recycled when a serve cache evicts a tree actually reach the next
    build of that shape.  Env knobs are resolved per call, so changing
    CROSSBAR_COMBINE_THRESHOLD or CROSSBAR_DOMAINS yields a distinct
@@ -416,61 +432,64 @@ let load_chunked dst src k =
   done
 
 (* Dense kernel (both strides 1): every (u, v) pair contributes, so the
-   stride test and its integer division disappear from the inner loop.
-   Blocked over (output, v) tiles of edge [tile] so the grid rows
-   the inner loop touches stay cache-resident; each output [total]
-   still accumulates its terms in strictly increasing [v] order — the
-   v-blocks are visited in ascending order and the partial sum is parked
-   in the output cell between blocks — so the floating-point addition
-   sequence per output is exactly the reference kernel's. *)
+   stride test disappears from the inner loop.  Output [total]'s terms
+   lie on anti-diagonal [total] of both weight tables, so one pass per
+   output reads w1 and w2 contiguously from [tri total], B forwards and
+   A backwards (the operands' Bigarrays taken out of their profiles
+   once per kernel, not per term), and accumulates in strictly
+   increasing [v] with the reference combine's grouping: bit-identical
+   to it per output. *)
 let kernel_dense ctx left right result lo hi =
   let w1 = ctx.w1 and w2 = ctx.w2 in
-  (* lint: alloc=t0,v0,sum -- three scratch cells for the whole kernel *)
-  let t0 = ref lo and v0 = ref 0 and sum = ref 0. in
-  while !t0 <= hi do
-    let t1 = min hi (!t0 + tile - 1) in
-    for total = !t0 to t1 do
-      Lattice.unsafe_set result total 0.
+  let left = Lattice.values left and right = Lattice.values right in
+  (* lint: alloc=sum -- one scratch cell for the whole kernel *)
+  let sum = ref 0. in
+  for total = lo to hi do
+    let base = tri total in
+    sum := 0.;
+    for v = 0 to total do
+      sum :=
+        !sum
+        +. (Bigarray.Array1.unsafe_get left (total - v)
+           *. Bigarray.Array1.unsafe_get w1 (base + v))
+           *. (Bigarray.Array1.unsafe_get right v
+              *. Bigarray.Array1.unsafe_get w2 (base + v))
     done;
-    v0 := 0;
-    while !v0 <= t1 do
-      let v1 = !v0 + tile - 1 in
-      for total = max !t0 !v0 to t1 do
-        sum := Lattice.unsafe_get result total;
-        let vmax = min v1 total in
-        for v = !v0 to vmax do
-          let u = total - v in
-          sum :=
-            !sum
-            +. (Lattice.unsafe_get left u *. Lattice.Grid.unsafe_get w1 u v)
-               *. (Lattice.unsafe_get right v *. Lattice.Grid.unsafe_get w2 u v)
-        done;
-        Lattice.unsafe_set result total !sum
-      done;
-      v0 := !v0 + tile
-    done;
-    t0 := !t0 + tile
+    Lattice.unsafe_set result total !sum
   done
 
-(* Strided kernel: identical iteration to the reference combine ([v]
-   ascending by [sb], [u mod sa] test), with unchecked accessors and
-   pre-chunked operands. *)
+(* Strided kernel: term (u, v) of output [total] contributes when [sa]
+   divides [u = total - v] and [sb] divides [v].  Those [v] form one
+   residue class modulo [lcm sa sb] when [gcd sa sb] divides [total]
+   (none otherwise), and its least member is among the first
+   [sa / gcd] multiples of [sb].  The kernel finds that member once per
+   output and steps by the lcm: the reference combine's contributing
+   terms, in its increasing-[v] order, with no division per term. *)
 let kernel_strided ctx left right ~sa ~sb result lo hi =
   let w1 = ctx.w1 and w2 = ctx.w2 in
+  let left = Lattice.values left and right = Lattice.values right in
+  let g = gcd sa sb in
+  let step = sa / g * sb in
   (* lint: alloc=sum,v -- two scratch cells for the whole kernel *)
   let sum = ref 0. and v = ref 0 in
   for total = lo to hi do
     sum := 0.;
-    v := 0;
-    while !v <= total do
-      let u = total - !v in
-      if u mod sa = 0 then
+    if total mod g = 0 then begin
+      v := 0;
+      while (total - !v) mod sa <> 0 do
+        v := !v + sb
+      done;
+      let base = tri total in
+      while !v <= total do
         sum :=
           !sum
-          +. (Lattice.unsafe_get left u *. Lattice.Grid.unsafe_get w1 u !v)
-             *. (Lattice.unsafe_get right !v *. Lattice.Grid.unsafe_get w2 u !v);
-      v := !v + sb
-    done;
+          +. (Bigarray.Array1.unsafe_get left (total - !v)
+             *. Bigarray.Array1.unsafe_get w1 (base + !v))
+             *. (Bigarray.Array1.unsafe_get right !v
+                *. Bigarray.Array1.unsafe_get w2 (base + !v));
+        v := !v + step
+      done
+    end;
     Lattice.unsafe_set result total !sum
   done
 
@@ -501,7 +520,7 @@ let band_lo cap bands i =
    bands dispatched through the persistent {!Band_pool} (band 0 runs on
    the calling domain).  Each band writes a disjoint output range of
    [result]'s Bigarray (GC-opaque, so domains share it without tearing
-   the runtime) and only reads the operands and grids; every output
+   the runtime) and only reads the operands and tables; every output
    index is computed by exactly one band with the same per-output term
    order as the sequential kernel, so the result is bit-identical
    however many domains run.  [counter] is the solve-local banded
@@ -510,9 +529,10 @@ let band_lo cap bands i =
    banded combines to one solve). *)
 let combine_banded ctx counter left right ~sa ~sb result =
   let bands = ctx.band_domains in
-  (* Bands write disjoint output rows; the operands, grids and ratio
-     table are read-only during the kernel.  One band thunk per banded
-     combine.  (A directive covers its own line and the next only.) *)
+  (* Bands write disjoint output rows; the operands and the weight and
+     ratio tables are read-only during the kernel.  One band thunk per
+     banded combine.  (A directive covers its own line and the next
+     only.) *)
   (* lint: guarded=ctx,left,right,result alloc=closure -- see above *)
   Band_pool.run ~bands (fun i ->
       let lo = band_lo ctx.cap bands i in
@@ -563,11 +583,13 @@ let combine_into ctx counter a b =
 
 let combine ctx a b = combine_into ctx ctx.banded_total a b
 
-(* The pre-kernel reference combine, kept verbatim as the bit-identity
-   oracle for the tiled and banded kernels (test_kernel): checked
-   accessors, per-term chunk application, no arena, no tiling, no bands.
-   Unreachable from the hot roots, so the allocation sanctions of the
-   kernel path do not apply here. *)
+(* The pre-kernel reference combine, kept as the bit-identity oracle
+   for the dense, strided and banded kernels (test_kernel): checked
+   accessors, per-term chunk application, a stride test on every term,
+   no arena, no bands.  It reads the weights through [weight], so
+   test_kernel also checks the tables against their row-major
+   recurrence.  Unreachable from the hot roots, so the allocation
+   sanctions of the kernel path do not apply here. *)
 let combine_naive ctx a b =
   let cap = ctx.cap in
   let sa = Lattice.stride a and sb = Lattice.stride b in
@@ -598,8 +620,8 @@ let combine_naive ctx a b =
         let right = Lattice.apply_chunks (Lattice.get b !v) !kb in
         sum :=
           !sum
-          +. (left *. Lattice.Grid.get ctx.w1 u !v)
-             *. (right *. Lattice.Grid.get ctx.w2 u !v)
+          +. (left *. weight ctx `Inputs u !v)
+             *. (right *. weight ctx `Outputs u !v)
       end;
       v := !v + sb
     done;
@@ -994,8 +1016,8 @@ let marginal_weights ctx own comp =
         let other = Lattice.apply_chunks (Lattice.get comp !v) kb in
         sum :=
           !sum
-          +. (own_u *. Lattice.Grid.get ctx.w1 u !v)
-             *. (other *. Lattice.Grid.get ctx.w2 u !v);
+          +. (own_u *. weight ctx `Inputs u !v)
+             *. (other *. weight ctx `Outputs u !v);
         v := !v + sc
       done;
       !sum)

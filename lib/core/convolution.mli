@@ -17,8 +17,9 @@
     operand pairs in identical order, hence bit-identical results on
     every measure and [log G].
 
-    The pairwise combine runs as a cache-blocked kernel over the
-    {!Lattice} Bigarrays with per-domain scratch arenas ({!Arena}), so a
+    The pairwise combine runs one contiguous pass per output over the
+    {!Lattice} Bigarrays and the context's weight tables, packed by
+    anti-diagonal, with per-domain scratch arenas ({!Arena}), so a
     warmed-up re-solve loop performs no major-heap allocation; above a
     capacity threshold a single combine's output is split into
     deterministic row bands computed by parallel domains, bit-identical
@@ -64,11 +65,12 @@ end
 
 type context
 (** Combine environment for one switch size: the precomputed weight
-    grids, banding threshold and domain count, the identity its
-    per-domain {!Arena}s are kept under and the banded-combine counter.
+    tables (see {!weight}), banding threshold and domain count, the
+    identity its per-domain {!Arena}s are kept under and the
+    banded-combine counter.
     {!Factor_tree.build} resolves its context through a bounded
     process-wide cache keyed on the dimensions and resolved knobs, so
-    repeated solves of one switch shape share the grids and — through
+    repeated solves of one switch shape share the tables and — through
     the shared arenas — each other's recycled profiles.  {!context_of}
     always builds a fresh, unshared context. *)
 
@@ -98,6 +100,18 @@ val context_of :
 val context_capacity : context -> int
 (** [min inputs outputs]. *)
 
+val weight : context -> [ `Inputs | `Outputs ] -> int -> int -> float
+(** [weight ctx side u v] is the combine weight
+    [w_i(u, v) = P(N_i, u+v) / (P(N_i, u) P(N_i, v))] of the inputs
+    ([i = 1]) or outputs ([i = 2]) side, as the kernels read it.  The
+    context stores each side's weights as one packed triangle of
+    [(cap+1)(cap+2)/2] doubles, anti-diagonal [u + v = t] after
+    anti-diagonal, so that an output's [v]-sum reads them
+    contiguously.  This checked accessor serves {!combine_naive}, the
+    marginal distributions and tests.
+    @raise Invalid_argument unless [u >= 0], [v >= 0] and
+    [u + v <= context_capacity ctx]. *)
+
 val arena : context -> Arena.t
 (** The calling domain's arena for this context, created on first use.
     Each domain keeps the arenas of its {!arena_limit} most recently
@@ -119,8 +133,10 @@ val banded_total : context -> int
 val combine : context -> Lattice.t -> Lattice.t -> Lattice.t
 (** The tilted convolution
     [(A * B)(u+v) = sum A(u) B(v) w1(u,v) w2(u,v)], as the solver runs
-    it: cache-blocked kernel, unchecked accessors, arena scratch and
-    result, banded across domains at or above the context's threshold.
+    it: one contiguous anti-diagonal pass per output (strided operands
+    visit only their contributing terms), unchecked accessors, arena
+    scratch and result, banded across domains at or above the context's
+    threshold.
     Operands are never mutated.  Each output accumulates its terms in
     strictly increasing [v], so the result is a bit-identical function
     of the operands regardless of banding or which domain runs it — and
@@ -128,10 +144,10 @@ val combine : context -> Lattice.t -> Lattice.t -> Lattice.t
     Operand capacities must equal the context's. *)
 
 val combine_naive : context -> Lattice.t -> Lattice.t -> Lattice.t
-(** The pre-kernel reference combine — checked accessors, per-term chunk
-    application, fresh result, no tiling, no bands — kept as the
-    bit-identity oracle for {!combine} in tests.  Never called by the
-    solver. *)
+(** The pre-kernel reference combine — checked accessors ({!weight}
+    included), per-term chunk application and stride test, fresh
+    result, no bands — kept as the bit-identity oracle for {!combine}
+    in tests.  Never called by the solver. *)
 
 (** The balanced combine tree over tilted class factors.  Leaves are the
     per-class profiles [C_r] in class order; each internal node caches
@@ -258,7 +274,7 @@ val per_class_distributions : t -> Measures.distribution array
 (** The full marginal occupancy distribution [p(k_r = j)] of every
     class, batched from one {!Factor_tree.leave_one_out} sweep: class
     [r]'s weights are [C_r(j a_r) . H_{-r}] contracted through the
-    corner weight grids, normalised over [j].  [O(R)] combines total
+    corner weights ({!weight}), normalised over [j].  [O(R)] combines total
     instead of [R] independent solves; agrees with
     {!Occupancy.class_distribution} to rounding.
     @raise Failure if dynamic rescaling flushed an entire marginal (the

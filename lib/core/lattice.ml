@@ -35,6 +35,7 @@ let set t u x = Bigarray.Array1.set t.values u x
    "Combine kernels"). *)
 let[@inline] unsafe_get t u = Bigarray.Array1.unsafe_get t.values u
 let[@inline] unsafe_set t u x = Bigarray.Array1.unsafe_set t.values u x
+let[@inline] values t = t.values
 
 let reset ?(stride = 1) t =
   if stride < 1 then invalid_arg "Lattice.reset: stride < 1";
@@ -102,35 +103,3 @@ let normalize t =
   end
 
 let log_scale t = float_of_int t.scale *. log_rescale_factor
-
-module Grid = struct
-  type t = { data : values; rows : int; cols : int }
-
-  let create ~rows ~cols =
-    if rows < 1 || cols < 1 then invalid_arg "Lattice.Grid.create: empty";
-    let data =
-      Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (rows * cols)
-    in
-    Bigarray.Array1.fill data 0.;
-    (* lint: alloc=record -- grids are per-context, not per combine *)
-    { data; rows; cols }
-
-  let rows t = t.rows
-  let cols t = t.cols
-
-  let get t i j =
-    if i < 0 || i >= t.rows || j < 0 || j >= t.cols then
-      invalid_arg "Lattice.Grid.get: out of bounds";
-    Bigarray.Array1.get t.data ((i * t.cols) + j)
-
-  let set t i j x =
-    if i < 0 || i >= t.rows || j < 0 || j >= t.cols then
-      invalid_arg "Lattice.Grid.set: out of bounds";
-    Bigarray.Array1.set t.data ((i * t.cols) + j) x
-
-  let[@inline] unsafe_get t i j =
-    Bigarray.Array1.unsafe_get t.data ((i * t.cols) + j)
-
-  let[@inline] unsafe_set t i j x =
-    Bigarray.Array1.unsafe_set t.data ((i * t.cols) + j) x
-end

@@ -21,6 +21,9 @@
 
 type t
 
+type values =
+  (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
 val rescale_threshold : float
 (** Magnitudes above this trigger an adaptive rescale ([1e250]). *)
 
@@ -52,6 +55,12 @@ val unsafe_get : t -> int -> float
 
 val unsafe_set : t -> int -> float -> unit
 (** Unchecked write; see {!unsafe_get}. *)
+
+val values : t -> values
+(** The profile's storage, entry [u] at index [u], for kernel loops
+    that fetch the Bigarray once instead of on every access.  The
+    combine kernels only read it; a writer would have to keep the
+    stride invariant true itself. *)
 
 val reset : ?stride:int -> t -> unit
 (** Zeroes every entry and resets [scale] to [0] and [stride] to the
@@ -91,29 +100,3 @@ val normalize : t -> unit
 val log_scale : t -> float
 (** [scale * log rescale_factor] — the log of the factor by which stored
     values exceed true values (non-positive). *)
-
-(** Flat two-dimensional float table (row-major [float64]
-    [Bigarray.Array1]); backs the precomputed combine-weight tables. *)
-module Grid : sig
-  type t
-
-  val create : rows:int -> cols:int -> t
-  (** All-zero [rows x cols] table.
-      @raise Invalid_argument if either dimension is [< 1]. *)
-
-  val rows : t -> int
-  val cols : t -> int
-
-  val get : t -> int -> int -> float
-  (** @raise Invalid_argument out of bounds. *)
-
-  val set : t -> int -> int -> float -> unit
-  (** @raise Invalid_argument out of bounds. *)
-
-  val unsafe_get : t -> int -> int -> float
-  (** Unchecked read for kernel inner loops; out-of-range coordinates
-      are undefined behaviour.  Use {!get} everywhere else. *)
-
-  val unsafe_set : t -> int -> int -> float -> unit
-  (** Unchecked write; see {!unsafe_get}. *)
-end

@@ -1,11 +1,12 @@
-(* The combine kernels are the solver's inner loop: the tiled dense
-   kernel, the strided kernel, the banded parallel dispatch and the
-   arena-recycled storage must all be bitwise-invisible — every result
-   identical to the reference combine ([Convolution.combine_naive]) on
-   every operand pair, in every rescaling regime, at every capacity
-   relative to the fixed kernel block edge and for every domain count.
-   These suites pin that contract, the one-pass [Lattice.normalize],
-   and the zero-allocation arena plateau. *)
+(* The combine kernels are the solver's inner loop: the dense kernel,
+   the strided kernel, the anti-diagonal weight tables they read, the
+   banded parallel dispatch and the arena-recycled storage must all be
+   bitwise-invisible — every result identical to the reference combine
+   ([Convolution.combine_naive]) on every operand pair, in every
+   rescaling regime, at every capacity and stride pair and for every
+   domain count, and every table entry identical to the row-major
+   recurrence.  These suites pin that contract, the one-pass
+   [Lattice.normalize], and the zero-allocation arena plateau. *)
 
 module Conv = Crossbar.Convolution
 module Tree = Crossbar.Convolution.Factor_tree
@@ -58,20 +59,31 @@ let check_same_lattice label reference candidate =
       (Lattice.get reference u) (Lattice.get candidate u)
   done
 
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
 let check_combine_matches_naive label ctx a b =
   let fast = Conv.combine ctx a b in
   let naive = Conv.combine_naive ctx a b in
   check_same_lattice label naive fast
 
-(* ---------- tiled kernel vs the reference combine ---------- *)
+(* A context whose combines all run on one band (the sequential kernel)
+   or, at [bands = 2], all run banded (threshold 1). *)
+let banded_context ~bands cap =
+  if bands = 1 then context ~domains:1 cap
+  else context ~threshold:1 ~domains:bands cap
 
-(* Capacities up to 160 span one, two and a partial third block of the
-   kernel's 64-entry tile. *)
+(* ---------- kernels vs the reference combine ---------- *)
+
+(* Strides 1-6 on either side, dense pairs drawn more often: equal,
+   coprime and unequal non-coprime pairs, whose contributing terms form
+   one residue class modulo the lcm — or none, at outputs the gcd does
+   not divide.  Capacities up to 160 leave [cap + 1] a multiple of the
+   lcm for some draws and not for most. *)
 let operand_gen =
   let open QCheck2.Gen in
   let* cap = int_range 4 160 in
-  let* sa = oneofl [ 1; 1; 1; 2; 3 ] in
-  let* sb = oneofl [ 1; 1; 2; 3 ] in
+  let* sa = oneofl [ 1; 1; 1; 2; 3; 4; 5; 6 ] in
+  let* sb = oneofl [ 1; 1; 2; 3; 4; 5; 6 ] in
   (* mag 0: plain regime.  mag ~123 per operand: the product overflows
      the rescale threshold, so the prechunk borrows chunks and the
      chunk-scaled scratch copies feed the kernel.  mag ~245: single
@@ -79,24 +91,48 @@ let operand_gen =
      one-pass chunk application too. *)
   let* mag = oneofl [ 0; 0; 123; 245 ] in
   let* seed = int_range 1 1_000_000 in
-  return (cap, sa, sb, mag, seed)
+  let* bands = oneofl [ 1; 2 ] in
+  return (cap, sa, sb, mag, seed, bands)
 
 let combine_matches_naive =
   QCheck2.Test.make ~name:"combine is bit-identical to combine_naive"
-    ~count:120 operand_gen (fun (cap, sa, sb, mag, seed) ->
-      let ctx = context cap in
+    ~count:200 operand_gen (fun (cap, sa, sb, mag, seed, bands) ->
+      let ctx = banded_context ~bands cap in
       let a = make_profile ~cap ~stride:sa ~mag seed in
       let b = make_profile ~cap ~stride:sb ~mag (seed + 1) in
       check_combine_matches_naive
-        (Printf.sprintf "cap=%d sa=%d sb=%d mag=%d" cap sa sb mag)
+        (Printf.sprintf "cap=%d sa=%d sb=%d mag=%d bands=%d" cap sa sb mag
+           bands)
         ctx a b;
       true)
 
-(* A lattice holds cap + 1 entries, so caps 63 and 127 fill exactly one
-   and two 64-entry blocks, and 64, 65, 128 and 129 add a one- or
-   two-entry final block: the partial final block of both tile loops.
-   Cap 256, four blocks and a one-entry tail, sits at the default
-   banding threshold; one band keeps it on the sequential kernel. *)
+(* Unequal stride pairs sharing a factor, each on both sides, at caps
+   where [cap + 1] is not a multiple of their lcm (so the last residue
+   class is cut short), on one band and on two. *)
+let test_non_coprime_strides () =
+  List.iter
+    (fun (sa, sb) ->
+      let lcm = sa * sb / gcd sa sb in
+      List.iter
+        (fun cap ->
+          if (cap + 1) mod lcm = 0 then
+            Alcotest.failf "cap %d: cap + 1 is a multiple of lcm %d" cap lcm;
+          List.iter
+            (fun (bands, mag) ->
+              let a = make_profile ~cap ~stride:sa ~mag (sa + cap) in
+              let b = make_profile ~cap ~stride:sb ~mag (sb + cap + 1) in
+              check_combine_matches_naive
+                (Printf.sprintf "sa=%d sb=%d cap=%d bands=%d mag=%d" sa sb
+                   cap bands mag)
+                (banded_context ~bands cap) a b)
+            [ (1, 0); (2, 0); (1, 123); (2, 123) ])
+        [ 30; 61; 100 ])
+    [ (2, 4); (4, 2); (4, 6); (6, 4); (3, 6); (6, 3) ]
+
+(* Lattice-size edge cases: caps on either side of 64 and 128 (lattices
+   of 64 to 66 and 128 to 130 entries), and cap 256 at the default
+   banding threshold, where one band keeps the combine on the
+   sequential kernel. *)
 let block_edge_caps = [ 63; 64; 65; 127; 128; 129 ]
 
 let test_tile_boundaries () =
@@ -113,7 +149,7 @@ let test_tile_boundaries () =
         [ 0; 123 ])
     (block_edge_caps @ [ 256 ])
 
-(* The same block edges with a strided operand and with single entries
+(* The same capacities with a strided operand and with single entries
    near the rescale threshold, where the result also needs normalize's
    one-pass chunk application. *)
 let test_degenerate_tiles () =
@@ -128,6 +164,55 @@ let test_degenerate_tiles () =
             (context cap) a b)
         [ (2, 0); (1, 245) ])
     block_edge_caps
+
+(* ---------- weight tables vs the row-major recurrence ---------- *)
+
+(* The weights' defining recurrence on a row-major (cap + 1) x (cap + 1)
+   grid: w(0, v) = 1 and
+   w(u, v) = w(u - 1, v) (N - (u - 1) - v) / (N - (u - 1)).  It is the
+   oracle for the packed tables because [combine_naive] reads those same
+   tables and so cannot catch a layout bug on its own. *)
+let row_major_weights ~ports ~cap =
+  let grid = Array.make_matrix (cap + 1) (cap + 1) 0. in
+  for v = 0 to cap do
+    grid.(0).(v) <- 1.;
+    for u = 1 to cap - v do
+      let j = u - 1 in
+      grid.(u).(v) <-
+        grid.(j).(v)
+        *. (float_of_int (ports - j - v) /. float_of_int (ports - j))
+    done
+  done;
+  grid
+
+(* Every (u, v) with u + v <= cap, on both sides, bit for bit: the
+   accessor maps that triangle one-to-one onto the packed slots, so this
+   reads every entry of both tables. *)
+let test_weight_tables_match_recurrence () =
+  List.iter
+    (fun (inputs, outputs) ->
+      let ctx = Conv.context_of ~inputs ~outputs () in
+      let cap = Conv.context_capacity ctx in
+      List.iter
+        (fun (side, ports, name) ->
+          let grid = row_major_weights ~ports ~cap in
+          for t = 0 to cap do
+            for v = 0 to t do
+              check_bits
+                (Printf.sprintf "%dx%d %s w(%d, %d)" inputs outputs name
+                   (t - v) v)
+                grid.(t - v).(v)
+                (Conv.weight ctx side (t - v) v)
+            done
+          done)
+        [ (`Inputs, inputs, "w1"); (`Outputs, outputs, "w2") ];
+      List.iter
+        (fun (u, v) ->
+          Helpers.check_raises_invalid
+            (Printf.sprintf "%dx%d rejects (%d, %d)" inputs outputs u v)
+            (fun () -> Conv.weight ctx `Inputs u v))
+        [ (-1, 0); (0, -1); (cap, 1); (1, cap); (cap + 1, 0) ])
+    [ (1, 1); (2, 2); (63, 63); (256, 256); (272, 272); (67, 64) ]
 
 (* ---------- banded parallel dispatch ---------- *)
 
@@ -570,22 +655,31 @@ let check_allocation_ceiling label ~ceiling words =
        fail under --profile dev; do not raise the ceiling for that."
       label words ceiling
 
-let test_combine_allocation () =
+let check_warm_combine_allocation label ~sa ~sb =
   let cap = 256 in
   (* One band: the whole kernel runs on this domain, where the counter
      can see it. *)
   let ctx = context ~domains:1 cap in
   let arena = Conv.arena ctx in
-  let a = make_profile ~cap ~stride:1 ~mag:0 71 in
-  let b = make_profile ~cap ~stride:1 ~mag:0 72 in
+  let a = make_profile ~cap ~stride:sa ~mag:0 71 in
+  let b = make_profile ~cap ~stride:sb ~mag:0 72 in
   let combine_and_release () =
     Conv.Arena.release arena (Conv.combine ctx a b)
   in
   (* Warm-up: the arena's scratch and free list exist from here on. *)
   combine_and_release ();
   combine_and_release ();
-  check_allocation_ceiling "dense combine at cap 256" ~ceiling:32.
+  check_allocation_ceiling label ~ceiling:32.
     (minor_words_of combine_and_release)
+
+let test_combine_allocation () =
+  check_warm_combine_allocation "dense combine at cap 256" ~sa:1 ~sb:1
+
+(* The strided kernel at the dense case's ceiling: a bandwidth-1 by
+   bandwidth-2 leaf pair, the commonest strided combine of a solve. *)
+let test_strided_combine_allocation () =
+  check_warm_combine_allocation "strided combine (1 x 2) at cap 256" ~sa:1
+    ~sb:2
 
 let test_solve_delta_allocation () =
   let model load = Helpers.single_class_model ~classes:8 ~size:256 load in
@@ -736,6 +830,12 @@ let () =
           Helpers.qcheck combine_matches_naive;
           Helpers.case "tile-boundary capacities" test_tile_boundaries;
           Helpers.case "degenerate tile sizes" test_degenerate_tiles;
+          Helpers.case "unequal non-coprime strides" test_non_coprime_strides;
+        ] );
+      ( "weight tables",
+        [
+          Helpers.case "bit-identical to the row-major recurrence"
+            test_weight_tables_match_recurrence;
         ] );
       ( "banded kernel",
         [
@@ -783,6 +883,8 @@ let () =
             test_solve_delta_allocation;
           Helpers.case "release flags track the dune language"
             test_release_flags_track_dune_lang;
+          Helpers.case "strided combine at cap 256 allocates <= 32 words"
+            test_strided_combine_allocation;
         ] );
       ( "normalize",
         [

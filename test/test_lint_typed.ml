@@ -231,7 +231,7 @@ let alloc_annotated_files =
   [
     ("../lib/core/convolution.ml", 14);
     ("../lib/core/band_pool.ml", 3);
-    ("../lib/core/lattice.ml", 3);
+    ("../lib/core/lattice.ml", 2);
     ("../lib/core/model.ml", 1);
     ("../lib/numerics/kahan.ml", 1);
     ("../lib/numerics/special.ml", 1);

@@ -597,6 +597,40 @@ let test_pipeline_shutdown_discards_inflight () =
     | exception Unix.Unix_error (Unix.EBADF, _, _) -> true
     | _ -> false)
 
+(* Reads answer from the hot tree's solved diagonal and allocate only
+   their response: no solve, no lattice.  A warm [blocking] and a warm
+   [shadow_costs] on a 32-port, 8-class tree, one request per batch on
+   one domain, where [Gc.minor_words] sees all of it.  Measured: 516
+   words per [blocking] (ceiling 1024, 2x headroom) and 2800 per
+   [shadow_costs] (ceiling 4096, 1.46x), mostly the response's JSON
+   and the batch's own grouping structures.  The gate
+   assumes the release profile that dune-workspace selects. *)
+let test_read_allocation () =
+  let registry = Registry.create () in
+  let telemetry = Telemetry.create () in
+  let run requests =
+    ignore (Batcher.execute ~domains:1 ~registry ~telemetry requests)
+  in
+  run [| solve_request 0 (multi_class_model ~classes:8 ~size:32 0.05) |];
+  let weights = Array.init 8 (fun r -> 1.0 /. float_of_int (r + 1)) in
+  List.iter
+    (fun (label, ceiling, query) ->
+      let batch = [| request 1 query |] in
+      run batch;
+      run batch;
+      let before = Gc.minor_words () in
+      run batch;
+      let words = Gc.minor_words () -. before in
+      if words > ceiling then
+        Alcotest.failf
+          "warm %s allocated %.0f minor words (ceiling %.0f); the gate \
+           assumes the release profile"
+          label words ceiling)
+    [
+      ("blocking", 1024., Protocol.Blocking { tree = "t" });
+      ("shadow_costs", 4096., Protocol.Shadow_costs { tree = "t"; weights });
+    ]
+
 (* ---------- pipelined vs sequential serving ---------- *)
 
 (* Run [Server.run] in-process over pipes, write [lines], read exactly
@@ -779,6 +813,8 @@ let () =
           case "multi-tree batch isolated" test_multi_tree_batch_isolated;
           case "pipeline shutdown discards an uncollected batch"
             test_pipeline_shutdown_discards_inflight;
+          case "warm reads allocate within their ceilings"
+            test_read_allocation;
         ] );
       ( "daemon",
         [
