@@ -20,7 +20,6 @@ let usage =
    \  --typed         run the Typedtree stage (R7-R13) over .cmt artifacts\n\
    \  --cmt-root DIR  where to look for .cmt files (default:\n\
    \                  _build/default when it exists, else .)\n\
-   \  --cache FILE    persist per-file typed results across runs\n\
    \  --config FILE   load configuration from FILE (default: lint.json\n\
    \                  next to the working directory when present)\n\
    \  --json -        write the findings report as JSON to stdout\n\
@@ -28,7 +27,7 @@ let usage =
    \  --sarif -       write the findings as SARIF 2.1.0 to stdout\n\
    \  --sarif FILE    write the findings as SARIF 2.1.0 to FILE\n\
    \  --rules LIST    comma-separated rule subset to run (e.g. R1,R5)\n\
-   \  --stats         print cache statistics for the typed stage\n\
+   \  --stats         print file counts and timings for the typed stage\n\
    \  --dump-config   print the effective configuration as JSON and exit\n\
    \  --list-rules    print the rule table and exit\n\
    \  --help          show this message\n"
@@ -67,7 +66,6 @@ let () =
   let rules = ref None in
   let typed = ref false in
   let cmt_root = ref None in
-  let cache_file = ref None in
   let config_file = ref None in
   let stats = ref false in
   let dump_config = ref false in
@@ -94,10 +92,6 @@ let () =
         cmt_root := Some dir;
         parse rest
     | [ "--cmt-root" ] -> die "crossbar_lint: --cmt-root needs a directory"
-    | "--cache" :: file :: rest ->
-        cache_file := Some file;
-        parse rest
-    | [ "--cache" ] -> die "crossbar_lint: --cache needs a file"
     | "--config" :: file :: rest ->
         config_file := Some file;
         parse rest
@@ -183,25 +177,10 @@ let () =
         | None ->
             if Sys.file_exists "_build/default" then "_build/default" else "."
       in
-      let config_hash = Lint.Config.hash config in
-      let store =
-        match !cache_file with
-        | None -> Typed.Store.create ~config_hash
-        | Some file -> (
-            match Typed.Store.load ~config_hash file with
-            | Ok store -> store
-            | Error m -> die (Printf.sprintf "crossbar_lint: %s" m))
-      in
       let cmt_index = Typed.Cmt_index.scan ~root:cmt_root in
       let typed_findings, stats =
-        Typed.Driver.run ~config ~store ~cmt_index ~cmt_root paths
+        Typed.Driver.run ~config ~cmt_index ~cmt_root paths
       in
-      (match !cache_file with
-      | None -> ()
-      | Some file -> (
-          match Typed.Store.save store file with
-          | Ok () -> ()
-          | Error m -> die (Printf.sprintf "crossbar_lint: %s" m)));
       List.iter
         (fun (path, reason) ->
           Printf.eprintf "crossbar_lint: warning: %s: %s\n" path reason)
@@ -222,8 +201,9 @@ let () =
   (match typed_stats with
   | Some s when !stats ->
       Printf.printf
-        "typed stage: %d files, %d cache hits, %d analysed, %d without .cmt\n"
-        s.Typed.Driver.files s.Typed.Driver.hits s.Typed.Driver.misses
+        "typed stage: %d files, %d analysed, %d without .cmt\n"
+        s.Typed.Driver.files
+        (s.Typed.Driver.files - List.length s.Typed.Driver.missing_cmt)
         (List.length s.Typed.Driver.missing_cmt);
       Printf.printf
         "typed stage timings: extract %.1fms, capture %.1fms (%d \

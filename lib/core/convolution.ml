@@ -410,6 +410,10 @@ let prechunk (arena : Arena.t) a b =
   arena.kb <- 0;
   (* lint: alloc=ma,mb -- two scratch cells per prechunk *)
   let ma = ref (Lattice.max_abs a) and mb = ref (Lattice.max_abs b) in
+  (* No number of chunks brings an infinity below the threshold: the
+     loop below would never end. *)
+  if not (Float.is_finite !ma && Float.is_finite !mb) then
+    invalid_arg "Convolution.combine: operand has a non-finite entry";
   while !ma *. !mb > Lattice.rescale_threshold do
     if !ma >= !mb then begin
       arena.ka <- arena.ka + 1;
@@ -596,6 +600,8 @@ let combine_naive ctx a b =
   let result = Lattice.create ~stride:(gcd sa sb) ~capacity:cap () in
   let ka = ref 0 and kb = ref 0 in
   let ma = ref (Lattice.max_abs a) and mb = ref (Lattice.max_abs b) in
+  if not (Float.is_finite !ma && Float.is_finite !mb) then
+    invalid_arg "Convolution.combine_naive: operand has a non-finite entry";
   while !ma *. !mb > Lattice.rescale_threshold do
     if !ma >= !mb then begin
       incr ka;

@@ -351,8 +351,6 @@ let of_json json =
       doc_coverage_paths;
     }
 
-let hash t = Digest.to_hex (Digest.string (Json.to_string (to_json t)))
-
 let load_file path =
   if not (Sys.file_exists path) then Ok default
   else

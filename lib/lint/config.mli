@@ -106,10 +106,6 @@ val of_json : Crossbar_engine.Json.t -> (t, string) result
 (** Inverse of {!to_json}; fails with a message naming the offending field
     on schema or shape mismatch. *)
 
-val hash : t -> string
-(** Hex digest of the canonical JSON rendering; keys the incremental lint
-    cache so any policy change invalidates every cached entry. *)
-
 val load_file : string -> (t, string) result
 (** [load_file path] is {!default} when [path] does not exist, the parsed
     config when it holds a valid document, and an error mentioning [path]

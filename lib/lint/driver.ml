@@ -72,8 +72,19 @@ let missing_interface_findings ~config sources =
       else None)
     sources
 
+(* Overlapping path arguments ([lib/core lib/core/lattice.ml]) name the
+   same file twice; keep its first occurrence so each file is parsed,
+   analysed and fed to the global passes once, in discovery order. *)
 let load_sources paths =
-  let files = List.concat_map discover paths in
+  let seen = Hashtbl.create 64 in
+  let files =
+    List.concat_map discover paths
+    |> List.filter (fun path ->
+           if Hashtbl.mem seen path then false
+           else (
+             Hashtbl.add seen path ();
+             true))
+  in
   let sources, syntax_findings =
     List.fold_left
       (fun (sources, findings) path ->

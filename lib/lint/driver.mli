@@ -20,7 +20,8 @@ val discover : string -> string list
     normalized and deterministically ordered. *)
 
 val load_sources : string list -> source list * Finding.t list
-(** [load_sources paths] discovers and parses every file under [paths];
+(** [load_sources paths] discovers and parses every file under [paths],
+    each once even when the paths overlap (first occurrence kept);
     unparseable files come back as [Broken] alongside their [Rule.Syntax]
     findings. *)
 

@@ -6,9 +6,8 @@
     [r9_roots] directories, and flags every unlocked write to top-level
     mutable state inside a reachable function.
 
-    This is the cheap, always-recomputed half of R9: summaries come from
-    the incremental cache, so the graph walk costs one pass over data
-    already in memory.  Resolution is over-approximate in the safe
+    This is the cheap half of R9: the summaries are already in memory,
+    so the graph walk costs one pass over them.  Resolution is over-approximate in the safe
     direction — an unresolvable call edge drops reachability (missed
     edges are reported by R9 firing on the callee's own root instead),
     while lock context travels with each write, not each call site. *)
@@ -35,6 +34,6 @@ val findings :
     summaries, in file/line order of discovery.  [locked_lambdas] is the
     {!Capture} fixpoint's set of [(file path, lambda id)] proven to run
     under a configured lock wrapper through indirect calls — writes
-    inside those lambdas are treated as locked, closing the v2
+    inside those lambdas are treated as locked, closing the
     higher-order escape hatch where a callback stored and invoked through
     [Mutex.protect m cb] was reported as unlocked. *)

@@ -1,5 +1,5 @@
-(** The v3 closure-capture fixpoint: the global, always-recomputed half
-    of R10 and of R9's higher-order closure.
+(** The closure-capture fixpoint: the global half of R10 and of R9's
+    higher-order closure.
 
     Per-file summaries ({!Summary.lambda}, {!Summary.callsite}) record
     which lambdas exist, what mutable state each captures, and where
@@ -20,11 +20,11 @@
 
     Wrapper facts flow the other way: the [(file, lambda id)] set they
     prove locked feeds {!Callgraph.findings}, so a write inside a callback
-    stored-then-invoked under [Mutex.protect] — which v2's purely lexical
-    lock tracking reported as unlocked — is recognised as guarded.
+    stored-then-invoked under [Mutex.protect] — which purely lexical
+    lock tracking reports as unlocked — is recognised as guarded.
 
     Like {!Callgraph}, the pass costs one walk over summaries already in
-    memory; only the per-file extraction behind them is cached. *)
+    memory; the per-file extraction behind them is the expensive step. *)
 
 type result = {
   r10 : Crossbar_lint.Finding.t list;

@@ -16,8 +16,7 @@ let of_pairs pairs =
    [Wrapper__Unit.cmt] (or [dune__exe__Unit.cmt]).  The source unit is the
    segment after the last "__", uncapitalized, next to the [.objs]
    directory — so the whole map can be built from filenames alone, without
-   unmarshalling a single [.cmt].  Only files missed by the incremental
-   cache are ever read. *)
+   unmarshalling a single [.cmt]. *)
 let unit_of_artifact name =
   let base = Filename.remove_extension name in
   let rec last_segment from acc =

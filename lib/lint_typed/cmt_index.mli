@@ -3,8 +3,8 @@
 
     {!scan} derives the whole map from dune's artifact layout
     ([dir/.lib.objs/byte/Wrapper__Unit.cmt] next to [dir/unit.ml]) using
-    filenames alone — no [.cmt] is unmarshalled to build the index, which
-    is what keeps warm incremental runs cheap.  {!of_pairs} exists for
+    filenames alone — no [.cmt] is unmarshalled to build the index; each
+    artifact is read once, by the analysis itself.  {!of_pairs} exists for
     tests and non-dune layouts where the association is explicit. *)
 
 type t

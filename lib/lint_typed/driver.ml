@@ -1,12 +1,9 @@
 module Lint = Crossbar_lint
-module Memo = Crossbar_engine.Cache.Memo
 module Finding = Lint.Finding
 module Rule = Lint.Rule
 
 type stats = {
   files : int;
-  hits : int;
-  misses : int;
   missing_cmt : string list;
   errors : (string * string) list;
   extract_s : float;
@@ -25,14 +22,7 @@ let timed f =
   let value = f () in
   (value, Sys.time () -. t0)
 
-let digest_string s = Digest.to_hex (Digest.string s)
-
-let digest_file path =
-  match Digest.file path with
-  | d -> Some (Digest.to_hex d)
-  | exception Sys_error _ -> None
-
-let run ~(config : Lint.Config.t) ~store ~cmt_index ~cmt_root paths =
+let run ~(config : Lint.Config.t) ~cmt_index ~cmt_root paths =
   let sources, _syntax = Lint.Driver.load_sources paths in
   let impls =
     List.filter
@@ -44,10 +34,6 @@ let run ~(config : Lint.Config.t) ~store ~cmt_index ~cmt_root paths =
   in
   let in_scope = Lint.Driver.scope_membership ~config sources in
   let session = Typed_rules.session () in
-  let memo : (Finding.t list * Summary.file, string) result Memo.t =
-    Memo.create ()
-  in
-  let hits = ref 0 in
   let missing = ref [] in
   let errors = ref [] in
   let results, extract_s =
@@ -60,38 +46,14 @@ let run ~(config : Lint.Config.t) ~store ~cmt_index ~cmt_root paths =
             missing := path :: !missing;
             None
         | Some cmt_path -> (
-            let source_digest = digest_string s.Lint.Driver.text in
-            match digest_file cmt_path with
-            | None ->
-                missing := path :: !missing;
-                None
-            | Some cmt_digest -> (
-                match Store.lookup store ~path ~source_digest ~cmt_digest with
-                | Some (findings, summary) ->
-                    incr hits;
-                    Some (s, findings, summary)
-                | None -> (
-                    (* The in-process memo only matters when one run names
-                       the same file twice (overlapping path arguments);
-                       the digests make the key self-invalidating either
-                       way. *)
-                    let key =
-                      String.concat "\x00" [ path; source_digest; cmt_digest ]
-                    in
-                    let result, _was_memo_hit =
-                      Memo.find_or_compute memo key (fun () ->
-                          Typed_rules.analyse ~config ~path
-                            ~r8_applies:(in_scope path) ~session ~cmt_root
-                            ~cmt_path)
-                    in
-                    match result with
-                    | Ok (findings, summary) ->
-                        Store.store store ~path ~source_digest ~cmt_digest
-                          ~findings ~summary;
-                        Some (s, findings, summary)
-                    | Error m ->
-                        errors := (path, m) :: !errors;
-                        None))))
+            match
+              Typed_rules.analyse ~config ~path ~r8_applies:(in_scope path)
+                ~session ~cmt_root ~cmt_path
+            with
+            | Ok (findings, summary) -> Some (s, findings, summary)
+            | Error m ->
+                errors := (path, m) :: !errors;
+                None))
       impls
   in
   let summaries = List.map (fun (_, _, summary) -> summary) results in
@@ -175,8 +137,6 @@ let run ~(config : Lint.Config.t) ~store ~cmt_index ~cmt_root paths =
   ( findings,
     {
       files = List.length impls;
-      hits = !hits;
-      misses = Memo.misses memo;
       missing_cmt = List.rev !missing;
       errors = List.rev !errors;
       extract_s;

@@ -1,31 +1,23 @@
 (** Orchestrates the typed (stage-two) lint pass.
 
     For every implementation file stage one discovered under the given
-    paths, looks up its [.cmt] artifact, consults the persistent
-    {!Store} under the file's source and artifact digests, analyses only
-    the misses through {!Typed_rules}, then recomputes the global passes
-    over the full summary set — cached and fresh alike: the {!Capture}
-    escape fixpoint (R10 findings plus locked-lambda facts), the
-    {!Callgraph} R9 reachability consuming those facts, and the
-    {!Effects} stage (R11 allocation walk, R12 raise fixpoint, R13
+    paths, looks up its [.cmt] artifact, analyses it through
+    {!Typed_rules}, then runs the global passes over the full summary
+    set: the {!Capture} escape fixpoint (R10 findings plus locked-lambda
+    facts), the {!Callgraph} R9 reachability consuming those facts, and
+    the {!Effects} stage (R11 allocation walk, R12 raise fixpoint, R13
     domain resolution) — and filters everything through the shared
-    suppression directives.
-
-    The caller owns the store: load it before, save it after, and the
-    warm-run property (only modified files re-analysed) follows from the
-    digests alone. *)
+    suppression directives.  A run is a plain function of the sources,
+    the artifacts and the config: nothing persists between runs. *)
 
 type stats = {
   files : int;  (** implementation files considered *)
-  hits : int;  (** files served from the persistent store *)
-  misses : int;  (** files actually re-analysed this run *)
   missing_cmt : string list;
       (** sources with no artifact in the index — stale build tree *)
   errors : (string * string) list;
       (** [(path, reason)] for artifacts that failed to analyse *)
   extract_s : float;
-      (** processor seconds in the per-file extraction loop (cache
-          lookups included) *)
+      (** processor seconds in the per-file extraction loop *)
   capture_s : float;  (** processor seconds in the {!Capture} fixpoint *)
   graph_s : float;  (** processor seconds in the {!Callgraph} R9 walk *)
   effects_s : float;  (** processor seconds in the {!Effects} stage *)
@@ -39,11 +31,10 @@ type stats = {
 
 val run :
   config:Crossbar_lint.Config.t ->
-  store:Store.t ->
   cmt_index:Cmt_index.t ->
   cmt_root:string ->
   string list ->
   Crossbar_lint.Finding.t list * stats
 (** Findings are sorted by position and already suppression-filtered;
-    [stats] reports the cache economy so callers (and tests) can assert
-    incrementality. *)
+    [stats] reports the file counts, per-stage timings and fixpoint
+    iterations behind them. *)

@@ -1,9 +1,8 @@
 (** Interprocedural effect and float-domain analysis (stage three): the
     global half of R11/R12/R13 over the per-file effect summaries.
 
-    Like {!Callgraph} and {!Capture}, this stage is cheap and always
-    recomputed: summaries come from the incremental cache, and the three
-    closures here are graph walks over data already in memory —
+    Like {!Callgraph} and {!Capture}, this stage is cheap: the three
+    closures here are graph walks over summaries already in memory —
 
     - {b R11}: a breadth-first walk over resolved call edges from every
       function matching a [hot_roots] pattern; every boxed-allocation

@@ -1,5 +1,3 @@
-module Json = Crossbar_engine.Json
-
 type mutation = {
   m_line : int;
   m_col : int;
@@ -92,351 +90,3 @@ let alloc_kind_to_string = function
   | Alloc_boxed_float -> "boxed float"
   | Alloc_array -> "array"
   | Alloc_partial -> "partial application"
-
-let mutation_to_json m =
-  Json.Assoc
-    ([
-       ("line", Json.Int m.m_line);
-       ("col", Json.Int m.m_col);
-       ("target", Json.String m.target);
-       ("locked", Json.Bool m.locked);
-     ]
-    @ match m.m_lambda with
-      | Some id -> [ ("lambda", Json.Int id) ]
-      | None -> [])
-
-let capture_to_json c =
-  Json.Assoc
-    [
-      ("name", Json.String c.c_name);
-      ("line", Json.Int c.c_line);
-      ("col", Json.Int c.c_col);
-      ("reason", Json.String c.c_reason);
-      ("via", Json.List (List.map (fun v -> Json.String v) c.c_via));
-    ]
-
-let lambda_to_json l =
-  Json.Assoc
-    [
-      ("id", Json.Int l.lam_id);
-      ("line", Json.Int l.lam_line);
-      ("col", Json.Int l.lam_col);
-      ("captures", Json.List (List.map capture_to_json l.captures));
-    ]
-
-let arg_kind_to_json = function
-  | Arg_param i -> Json.Assoc [ ("param", Json.Int i) ]
-  | Arg_lambda id -> Json.Assoc [ ("lambda", Json.Int id) ]
-  | Arg_other -> Json.Assoc []
-
-let callsite_to_json c =
-  Json.Assoc
-    [
-      ("line", Json.Int c.cs_line);
-      ("col", Json.Int c.cs_col);
-      ("callee", Json.String c.callee);
-      ("args", Json.List (List.map arg_kind_to_json c.args));
-    ]
-
-let alloc_kind_to_json kind =
-  Json.String
-    (match kind with
-    | Alloc_closure -> "closure"
-    | Alloc_tuple -> "tuple"
-    | Alloc_record -> "record"
-    | Alloc_boxed_float -> "boxed_float"
-    | Alloc_array -> "array"
-    | Alloc_partial -> "partial")
-
-let alloc_to_json a =
-  Json.Assoc
-    [
-      ("line", Json.Int a.a_line);
-      ("col", Json.Int a.a_col);
-      ("kind", alloc_kind_to_json a.a_kind);
-      ("name", Json.String a.a_name);
-    ]
-
-let lambda_ids_to_json ids = Json.List (List.map (fun id -> Json.Int id) ids)
-
-let raise_to_json r =
-  Json.Assoc
-    [
-      ("line", Json.Int r.r_line);
-      ("col", Json.Int r.r_col);
-      ("exn", Json.String r.r_exn);
-      ("lambdas", lambda_ids_to_json r.r_lambdas);
-    ]
-
-let eff_call_to_json e =
-  Json.Assoc
-    [
-      ("name", Json.String e.e_name);
-      ("line", Json.Int e.e_line);
-      ("col", Json.Int e.e_col);
-      ("lambdas", lambda_ids_to_json e.e_lambdas);
-    ]
-
-let domexpr_to_json = function
-  | Known Linear -> Json.Assoc [ ("dom", Json.String "linear") ]
-  | Known Log -> Json.Assoc [ ("dom", Json.String "log") ]
-  | Known DUnknown -> Json.Assoc [ ("dom", Json.String "unknown") ]
-  | Known (Mantissa src) ->
-      Json.Assoc
-        [ ("dom", Json.String "mantissa"); ("src", Json.String src) ]
-  | DCall name -> Json.Assoc [ ("call", Json.String name) ]
-
-let dom_op_to_json op =
-  Json.String
-    (match op with Dom_add -> "add" | Dom_exp -> "exp" | Dom_cmp -> "cmp")
-
-let domain_site_to_json d =
-  Json.Assoc
-    [
-      ("line", Json.Int d.d_line);
-      ("col", Json.Int d.d_col);
-      ("op", dom_op_to_json d.d_op);
-      ("left", domexpr_to_json d.d_left);
-      ("right", domexpr_to_json d.d_right);
-    ]
-
-let func_to_json f =
-  Json.Assoc
-    [
-      ("name", Json.String f.f_name);
-      ("line", Json.Int f.f_line);
-      ("col", Json.Int f.f_col);
-      ("calls", Json.List (List.map (fun c -> Json.String c) f.calls));
-      ("mutations", Json.List (List.map mutation_to_json f.mutations));
-      ("lambdas", Json.List (List.map lambda_to_json f.lambdas));
-      ("callsites", Json.List (List.map callsite_to_json f.callsites));
-      ("allocs", Json.List (List.map alloc_to_json f.allocs));
-      ("raises", Json.List (List.map raise_to_json f.raises));
-      ("eff_calls", Json.List (List.map eff_call_to_json f.eff_calls));
-      ("domain_sites", Json.List (List.map domain_site_to_json f.domain_sites));
-      ("ret", domexpr_to_json f.ret_domain);
-    ]
-
-let to_json t =
-  Json.Assoc
-    [
-      ("path", Json.String t.path);
-      ("modname", Json.String t.modname);
-      ("funcs", Json.List (List.map func_to_json t.funcs));
-    ]
-
-let ( let* ) = Result.bind
-
-let str key json =
-  match Json.member key json with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "summary: missing string field %S" key)
-
-let int key json =
-  match Json.member key json with
-  | Some (Json.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "summary: missing int field %S" key)
-
-let list key json =
-  match Json.member key json with
-  | Some (Json.List items) -> Ok items
-  | _ -> Error (Printf.sprintf "summary: missing list field %S" key)
-
-let collect f items =
-  List.fold_left
-    (fun acc item ->
-      let* acc = acc in
-      let* value = f item in
-      Ok (value :: acc))
-    (Ok []) items
-  |> Result.map List.rev
-
-let mutation_of_json json =
-  let* m_line = int "line" json in
-  let* m_col = int "col" json in
-  let* target = str "target" json in
-  let* locked =
-    match Json.member "locked" json with
-    | Some (Json.Bool b) -> Ok b
-    | _ -> Error "summary: missing bool field \"locked\""
-  in
-  let* m_lambda =
-    match Json.member "lambda" json with
-    | Some (Json.Int id) -> Ok (Some id)
-    | None -> Ok None
-    | Some _ -> Error "summary: mutation \"lambda\" must be an int"
-  in
-  Ok { m_line; m_col; target; locked; m_lambda }
-
-let capture_of_json json =
-  let* c_name = str "name" json in
-  let* c_line = int "line" json in
-  let* c_col = int "col" json in
-  let* c_reason = str "reason" json in
-  let* via_items = list "via" json in
-  let* c_via =
-    collect
-      (function
-        | Json.String s -> Ok s
-        | _ -> Error "summary: capture via must hold strings")
-      via_items
-  in
-  Ok { c_name; c_line; c_col; c_reason; c_via }
-
-let lambda_of_json json =
-  let* lam_id = int "id" json in
-  let* lam_line = int "line" json in
-  let* lam_col = int "col" json in
-  let* capture_items = list "captures" json in
-  let* captures = collect capture_of_json capture_items in
-  Ok { lam_id; lam_line; lam_col; captures }
-
-let arg_kind_of_json json =
-  match (Json.member "param" json, Json.member "lambda" json) with
-  | Some (Json.Int i), _ -> Ok (Arg_param i)
-  | _, Some (Json.Int id) -> Ok (Arg_lambda id)
-  | _ -> Ok Arg_other
-
-let callsite_of_json json =
-  let* cs_line = int "line" json in
-  let* cs_col = int "col" json in
-  let* callee = str "callee" json in
-  let* arg_items = list "args" json in
-  let* args = collect arg_kind_of_json arg_items in
-  Ok { cs_line; cs_col; callee; args }
-
-let alloc_kind_of_json = function
-  | Json.String "closure" -> Ok Alloc_closure
-  | Json.String "tuple" -> Ok Alloc_tuple
-  | Json.String "record" -> Ok Alloc_record
-  | Json.String "boxed_float" -> Ok Alloc_boxed_float
-  | Json.String "array" -> Ok Alloc_array
-  | Json.String "partial" -> Ok Alloc_partial
-  | _ -> Error "summary: unknown alloc kind"
-
-let alloc_of_json json =
-  let* a_line = int "line" json in
-  let* a_col = int "col" json in
-  let* kind_json =
-    match Json.member "kind" json with
-    | Some value -> Ok value
-    | None -> Error "summary: alloc missing \"kind\""
-  in
-  let* a_kind = alloc_kind_of_json kind_json in
-  let* a_name = str "name" json in
-  Ok { a_line; a_col; a_kind; a_name }
-
-let lambda_ids_of_json key json =
-  let* items = list key json in
-  collect
-    (function
-      | Json.Int id -> Ok id
-      | _ -> Error "summary: lambda ids must be ints")
-    items
-
-let raise_of_json json =
-  let* r_line = int "line" json in
-  let* r_col = int "col" json in
-  let* r_exn = str "exn" json in
-  let* r_lambdas = lambda_ids_of_json "lambdas" json in
-  Ok { r_line; r_col; r_exn; r_lambdas }
-
-let eff_call_of_json json =
-  let* e_name = str "name" json in
-  let* e_line = int "line" json in
-  let* e_col = int "col" json in
-  let* e_lambdas = lambda_ids_of_json "lambdas" json in
-  Ok { e_name; e_line; e_col; e_lambdas }
-
-let domexpr_of_json json =
-  match (Json.member "dom" json, Json.member "call" json) with
-  | Some (Json.String "linear"), _ -> Ok (Known Linear)
-  | Some (Json.String "log"), _ -> Ok (Known Log)
-  | Some (Json.String "unknown"), _ -> Ok (Known DUnknown)
-  | Some (Json.String "mantissa"), _ -> (
-      match Json.member "src" json with
-      | Some (Json.String src) -> Ok (Known (Mantissa src))
-      | _ -> Error "summary: mantissa domain needs a \"src\"")
-  | _, Some (Json.String name) -> Ok (DCall name)
-  | _ -> Error "summary: malformed domain expression"
-
-let dom_op_of_json = function
-  | Json.String "add" -> Ok Dom_add
-  | Json.String "exp" -> Ok Dom_exp
-  | Json.String "cmp" -> Ok Dom_cmp
-  | _ -> Error "summary: unknown domain op"
-
-let domain_site_of_json json =
-  let* d_line = int "line" json in
-  let* d_col = int "col" json in
-  let* op_json =
-    match Json.member "op" json with
-    | Some value -> Ok value
-    | None -> Error "summary: domain site missing \"op\""
-  in
-  let* d_op = dom_op_of_json op_json in
-  let* d_left =
-    match Json.member "left" json with
-    | Some value -> domexpr_of_json value
-    | None -> Error "summary: domain site missing \"left\""
-  in
-  let* d_right =
-    match Json.member "right" json with
-    | Some value -> domexpr_of_json value
-    | None -> Error "summary: domain site missing \"right\""
-  in
-  Ok { d_line; d_col; d_op; d_left; d_right }
-
-let func_of_json json =
-  let* f_name = str "name" json in
-  let* f_line = int "line" json in
-  let* f_col = int "col" json in
-  let* call_items = list "calls" json in
-  let* calls =
-    collect
-      (function
-        | Json.String s -> Ok s
-        | _ -> Error "summary: calls must hold strings")
-      call_items
-  in
-  let* mutation_items = list "mutations" json in
-  let* mutations = collect mutation_of_json mutation_items in
-  let* lambda_items = list "lambdas" json in
-  let* lambdas = collect lambda_of_json lambda_items in
-  let* callsite_items = list "callsites" json in
-  let* callsites = collect callsite_of_json callsite_items in
-  let* alloc_items = list "allocs" json in
-  let* allocs = collect alloc_of_json alloc_items in
-  let* raise_items = list "raises" json in
-  let* raises = collect raise_of_json raise_items in
-  let* eff_call_items = list "eff_calls" json in
-  let* eff_calls = collect eff_call_of_json eff_call_items in
-  let* domain_site_items = list "domain_sites" json in
-  let* domain_sites = collect domain_site_of_json domain_site_items in
-  let* ret_domain =
-    match Json.member "ret" json with
-    | Some value -> domexpr_of_json value
-    | None -> Error "summary: func missing \"ret\""
-  in
-  Ok
-    {
-      f_name;
-      f_line;
-      f_col;
-      calls;
-      mutations;
-      lambdas;
-      callsites;
-      allocs;
-      raises;
-      eff_calls;
-      domain_sites;
-      ret_domain;
-    }
-
-let of_json json =
-  let* path = str "path" json in
-  let* modname = str "modname" json in
-  let* func_items = list "funcs" json in
-  let* funcs = collect func_of_json func_items in
-  Ok { path; modname; funcs }

@@ -1,18 +1,15 @@
 (** Per-file interprocedural summary for the R9/R10 global passes: the
     top-level functions a compilation unit defines, the (unresolved) value
     paths each one references, every write it performs against top-level
-    mutable state with its lock context, and — new in the v3 capture
-    stage — every lambda the function contains with its mutable captures,
-    plus the call sites that hand lambdas (or the function's own
-    parameters) to other functions.
+    mutable state with its lock context, every lambda the function
+    contains with its mutable captures, plus the call sites that hand
+    lambdas (or the function's own parameters) to other functions.
 
-    Summaries are the cacheable half of the typed analysis: extracting
-    one means reading and walking the unit's [.cmt], which is the
-    expensive step, while the global fixpoints over all summaries
-    ({!Callgraph} reachability, {!Capture} escape propagation, {!Effects}
-    allocation/raise/domain closure) are cheap graph walks recomputed on
-    every run.  They therefore round-trip through the engine's JSON tree
-    as part of the persistent ["crossbar-lint-cache/3"] document. *)
+    Extracting a summary means reading and walking the unit's [.cmt],
+    which is the expensive step of the typed stage; the global fixpoints
+    over all summaries ({!Callgraph} reachability, {!Capture} escape
+    propagation, {!Effects} allocation/raise/domain closure) are cheap
+    graph walks over the summaries held in memory. *)
 
 type mutation = {
   m_line : int;
@@ -40,7 +37,7 @@ type capture = {
 }
 
 type lambda = {
-  lam_id : int;  (** unique within the file, stable across cache loads *)
+  lam_id : int;  (** unique within the file *)
   lam_line : int;
   lam_col : int;
   captures : capture list;
@@ -154,11 +151,3 @@ type file = { path : string; modname : string; funcs : func list }
 
 val alloc_kind_to_string : alloc_kind -> string
 (** Human-readable kind for finding messages ("boxed float", ...). *)
-
-val to_json : file -> Crossbar_engine.Json.t
-(** The per-file entry body of the ["crossbar-lint-cache/3"] document. *)
-
-val of_json : Crossbar_engine.Json.t -> (file, string) result
-(** Inverse of {!to_json}; the error names the missing or ill-typed
-    field.  Lossless: a round-tripped summary feeds the global passes
-    identically to a freshly extracted one. *)

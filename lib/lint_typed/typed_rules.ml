@@ -367,7 +367,7 @@ let analyse ~(config : Lint.Config.t) ~path ~r8_applies ~session ~cmt_root
 
       (* One iterator pass per top-level binding body serves R7 (float
          comparisons), the R9 summary (referenced paths + writes to
-         top-level state, with lock context) and the v3 capture summary
+         top-level state, with lock context) and the capture summary
          (lambdas with their mutable captures, call sites forwarding
          lambdas or parameters). *)
       let calls = ref [] in
@@ -398,9 +398,9 @@ let analyse ~(config : Lint.Config.t) ~path ~r8_applies ~session ~cmt_root
          pending location is resolved at end of binding. *)
       let pending_callsites = ref [] in
 
-      (* Effect-stage (v4) per-binding state.  Allocation, raise and
+      (* Effect-stage per-binding state.  Allocation, raise and
          eff-call sites are extracted unconditionally (they are part of
-         the cached summary); float-domain tracking is skipped inside the
+         the summary); float-domain tracking is skipped inside the
          numerics libraries, whose internals mix domains by design —
          exactly the R1/R7 exemption. *)
       let track_domains = not in_numerics in
@@ -692,7 +692,7 @@ let analyse ~(config : Lint.Config.t) ~path ~r8_applies ~session ~cmt_root
           vbs
       in
 
-      (* ---------- effect extraction (v4) ---------- *)
+      (* ---------- effect extraction ---------- *)
       let alloc_default_name = function
         | Summary.Alloc_closure -> "closure"
         | Summary.Alloc_tuple -> "tuple"

@@ -4,9 +4,9 @@
     these see the typechecker's output: resolved value paths, inferred
     types, and desugared applications.  One pass over a unit's [.cmt]
     yields both the R7/R8 findings for that file and the {!Summary.file}
-    record — call edges, writes with lock context, the v3
+    record — call edges, writes with lock context, the
     closure-capture data (lambdas, mutable captures, forwarding call
-    sites), and the v4 effect data (boxed-allocation sites, unguarded
+    sites), and the effect data (boxed-allocation sites, unguarded
     raise sites, candidate cross-domain float operations, return
     domains) — that feeds the interprocedural R9-R13 analyses in
     {!Callgraph}, {!Capture} and {!Effects}. *)

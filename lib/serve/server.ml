@@ -18,12 +18,59 @@ let default_config =
     pipelined = true;
   }
 
+module Lines = struct
+  type t = { mutable carry : string; mutable discarding : bool }
+  type line = Line of string | Overlong
+
+  let max_bytes = 1 lsl 20
+  let create () = { carry = ""; discarding = false }
+  let pending t = String.length t.carry
+
+  (* Split [t.carry ^ chunk] into complete lines.  The trailing partial
+     line becomes the new carry while it fits; past [max_bytes] it is
+     answered once and its bytes are dropped through its newline, so the
+     carry (and the copy it costs per read) never outgrows the limit. *)
+  let push t chunk =
+    let pieces = String.split_on_char '\n' (t.carry ^ chunk) in
+    t.carry <- "";
+    let rec split acc = function
+      | [] -> List.rev acc
+      | [ partial ] ->
+          if t.discarding then List.rev acc
+          else if String.length partial > max_bytes then begin
+            t.discarding <- true;
+            List.rev (Overlong :: acc)
+          end
+          else begin
+            t.carry <- partial;
+            List.rev acc
+          end
+      | line :: rest ->
+          if t.discarding then begin
+            (* The tail of an overlong line, already answered. *)
+            t.discarding <- false;
+            split acc rest
+          end
+          else if String.length line > max_bytes then
+            split (Overlong :: acc) rest
+          else if String.equal (String.trim line) "" then split acc rest
+          else split (Line line :: acc) rest
+    in
+    split [] pieces
+
+  let finish t =
+    let last = String.trim t.carry in
+    t.carry <- "";
+    t.discarding <- false;
+    if String.equal last "" then None else Some last
+end
+
 (* One input stream: the primary input or an accepted socket client.
-   [carry] holds the partial line between reads. *)
+   [lines] holds the partial line between reads. *)
 type conn = {
   fd : Unix.file_descr;
   out : Unix.file_descr;
-  mutable carry : string;
+  lines : Lines.t;
   mutable open_ : bool;
   primary : bool;  (** the input/output pair given to [run] *)
 }
@@ -53,20 +100,6 @@ let write_response conn response =
   if not (write_all conn.out (Protocol.response_to_line response ^ "\n")) then
     conn.open_ <- false
 
-(* Split [conn.carry ^ chunk] into complete lines, keeping the trailing
-   partial line (if any) as the new carry. *)
-let push_chunk conn chunk =
-  let data = conn.carry ^ chunk in
-  let pieces = String.split_on_char '\n' data in
-  let rec split acc = function
-    | [] -> (List.rev acc, "")
-    | [ last ] -> (List.rev acc, last)
-    | piece :: rest -> split (piece :: acc) rest
-  in
-  let lines, carry = split [] pieces in
-  conn.carry <- carry;
-  List.filter (fun line -> not (String.equal (String.trim line) "")) lines
-
 let parse_line line =
   match Protocol.request_of_line line with
   | Ok request -> Request request
@@ -81,18 +114,24 @@ let parse_line line =
       in
       Malformed (id, message)
 
+let overlong_message =
+  Printf.sprintf "request line longer than %d bytes" Lines.max_bytes
+
+let item_of_line = function
+  | Lines.Line line -> parse_line line
+  | Lines.Overlong -> Malformed (Json.Null, overlong_message)
+
 (* Read whatever is available; returns parsed items in arrival order.
-   On EOF the remaining carry (a final unterminated line) is parsed
+   On EOF the remaining partial line (a final unterminated line) is parsed
    too, and the connection is marked closed. *)
 let read_available conn =
   let chunk = Bytes.create 65536 in
   match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
   | 0 ->
       conn.open_ <- false;
-      let leftover = String.trim conn.carry in
-      conn.carry <- "";
-      if String.equal leftover "" then [] else [ parse_line leftover ]
-  | n -> List.map parse_line (push_chunk conn (Bytes.sub_string chunk 0 n))
+      Option.to_list (Option.map parse_line (Lines.finish conn.lines))
+  | n ->
+      List.map item_of_line (Lines.push conn.lines (Bytes.sub_string chunk 0 n))
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
       conn.open_ <- false;
@@ -144,7 +183,13 @@ let run ?(config = default_config) ~input ~output () =
     Option.map (fun path -> (listen_socket path, path)) config.socket_path
   in
   let primary =
-    { fd = input; out = output; carry = ""; open_ = true; primary = true }
+    {
+      fd = input;
+      out = output;
+      lines = Lines.create ();
+      open_ = true;
+      primary = true;
+    }
   in
   let conns = ref [ primary ] in
   let pending : (conn * item) Queue.t = Queue.create () in
@@ -206,8 +251,15 @@ let run ?(config = default_config) ~input ~output () =
     | client, _ ->
         conns :=
           !conns
-          @ [ { fd = client; out = client; carry = ""; open_ = true;
-                primary = false } ]
+          @ [
+              {
+                fd = client;
+                out = client;
+                lines = Lines.create ();
+                open_ = true;
+                primary = false;
+              };
+            ]
     | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ()
   in
   (* Runs exactly once, as the [Fun.protect] finalizer around the loop:

@@ -23,6 +23,38 @@
     ([pipelined = false]), which serves each batch inline before
     reading again. *)
 
+(** Line framing for one connection, kept apart from the loop so its
+    memory bound can be tested on its own. *)
+module Lines : sig
+  type t
+  (** The partial line held between reads. *)
+
+  type line =
+    | Line of string  (** a complete, non-blank request line *)
+    | Overlong
+        (** a line longer than {!max_bytes}: answered with one
+            malformed-line error, its bytes dropped through its newline *)
+
+  val max_bytes : int
+  (** 1 MiB: the longest request line the daemon buffers.  A fixed
+      limit, not an option. *)
+
+  val create : unit -> t
+  (** An empty buffer. *)
+
+  val push : t -> string -> line list
+  (** [push t chunk] returns the lines [chunk] completes, in arrival
+      order.  A line past {!max_bytes} yields exactly one [Overlong] at
+      its position however the reads split it. *)
+
+  val finish : t -> string option
+  (** At end of input: the final unterminated line, trimmed, unless
+      blank or part of an overlong line; empties [t]. *)
+
+  val pending : t -> int
+  (** Bytes held for the partial line; never above {!max_bytes}. *)
+end
+
 type config = {
   socket_path : string option;
       (** also serve a Unix-domain socket at this path (created at

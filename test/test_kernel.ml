@@ -772,6 +772,24 @@ let test_normalize_non_finite () =
   Helpers.check_bool "entry untouched" true (Lattice.get l 0 = infinity);
   check_bits "finite entry untouched" 1.5 (Lattice.get l 1)
 
+let test_combine_non_finite_operand () =
+  (* No number of rescale chunks brings an infinite maximum below the
+     threshold, so both combines refuse the operand up front instead of
+     looping forever; the arena stays usable for the next combine. *)
+  let ctx = context 8 in
+  let finite = make_profile ~cap:8 ~stride:1 ~mag:0 71 in
+  let poisoned = make_profile ~cap:8 ~stride:1 ~mag:0 72 in
+  Lattice.set poisoned 3 infinity;
+  List.iter
+    (fun (label, a, b) ->
+      Helpers.check_raises_invalid ("combine " ^ label) (fun () ->
+          Conv.combine ctx a b);
+      Helpers.check_raises_invalid ("combine_naive " ^ label) (fun () ->
+          Conv.combine_naive ctx a b))
+    [ ("left", poisoned, finite); ("right", finite, poisoned) ];
+  check_combine_matches_naive "finite after refusal" ctx finite
+    (make_profile ~cap:8 ~stride:1 ~mag:0 73)
+
 (* ---------- knob validation ---------- *)
 
 let test_knob_validation () =
@@ -891,6 +909,8 @@ let () =
           Helpers.qcheck normalize_matches_reference;
           Helpers.case "non-finite maxima left untouched"
             test_normalize_non_finite;
+          Helpers.case "combine refuses a non-finite operand"
+            test_combine_non_finite_operand;
         ] );
       ( "knobs",
         [

@@ -702,6 +702,94 @@ let test_pipelined_matches_sequential_bytes () =
   check_bool "pipelined byte stream identical to sequential" true
     (String.equal pipelined sequential)
 
+(* ---------- line framing ---------- *)
+
+let show_lines lines =
+  String.concat "; "
+    (List.map
+       (function
+         | Server.Lines.Line l -> Printf.sprintf "Line %S" l
+         | Server.Lines.Overlong -> "Overlong")
+       lines)
+
+let check_lines label expected actual =
+  Alcotest.(check string) label (show_lines expected) (show_lines actual)
+
+(* A client that never sends a newline must not grow the daemon: the
+   partial line stays within [max_bytes] whatever arrives, and the
+   overlong line costs exactly one error at its position. *)
+let test_lines_bounded () =
+  let max = Server.Lines.max_bytes in
+  let t = Server.Lines.create () in
+  let chunk = String.make 65536 'x' in
+  let pushed = ref (Server.Lines.push t "{\"id\":1}\n") in
+  for _ = 1 to (3 * max / String.length chunk) + 1 do
+    pushed := !pushed @ Server.Lines.push t chunk;
+    check_bool "carry within the limit" true (Server.Lines.pending t <= max)
+  done;
+  pushed := !pushed @ Server.Lines.push t "xx\n{\"id\":2}\n";
+  check_lines "error at its position, then serving resumes"
+    Server.Lines.[ Line "{\"id\":1}"; Overlong; Line "{\"id\":2}" ]
+    !pushed;
+  check_int "nothing pending" 0 (Server.Lines.pending t);
+  (* A complete line one byte past the limit is refused too, whether it
+     arrives whole or as a just-fitting carry plus its last byte; a line
+     exactly at the limit is served. *)
+  let at_limit = String.make max 'y' in
+  check_lines "at the limit, whole" Server.Lines.[ Line at_limit ]
+    (Server.Lines.push t (at_limit ^ "\n"));
+  check_lines "past the limit, whole" Server.Lines.[ Overlong ]
+    (Server.Lines.push t (at_limit ^ "y\n"));
+  check_lines "just fitting carry" [] (Server.Lines.push t at_limit);
+  check_lines "past the limit, split" Server.Lines.[ Overlong ]
+    (Server.Lines.push t "y\n");
+  check_int "nothing pending after the split line" 0 (Server.Lines.pending t);
+  check_bool "EOF while discarding answers nothing more" true
+    (Server.Lines.push t (at_limit ^ "yz") = [ Server.Lines.Overlong ]
+    && Server.Lines.finish t = None)
+
+let test_overlong_line_between_requests () =
+  (* Responses follow arrival order on the connection: the first
+     request, one [id: null] error for the overlong line, the second
+     request — and the connection keeps serving through to shutdown. *)
+  let lines =
+    [
+      serialize (request 1 Protocol.Stats);
+      String.make ((3 * Server.Lines.max_bytes) + 5) 'x';
+      serialize (request 2 Protocol.Stats);
+      serialize (request 3 Protocol.Shutdown);
+    ]
+  in
+  let output = run_server_over_pipes ~pipelined:true lines in
+  let responses =
+    List.filter_map
+      (fun line ->
+        if String.equal line "" then None
+        else
+          match Json.of_string line with
+          | Ok json -> Some json
+          | Error m -> Alcotest.failf "response is not JSON (%s): %s" m line)
+      (String.split_on_char '\n' output)
+  in
+  check_int "one response per line" 4 (List.length responses);
+  List.iteri
+    (fun i (id, ok_expected) ->
+      let response = List.nth responses i in
+      check_bool
+        (Printf.sprintf "response %d id" i)
+        true
+        (Json.member "id" response = Some id);
+      check_bool
+        (Printf.sprintf "response %d ok=%b" i ok_expected)
+        true
+        (Json.member "ok" response = Some (Json.Bool ok_expected)))
+    [
+      (Json.Int 1, true);
+      (Json.Null, false);
+      (Json.Int 2, true);
+      (Json.Int 3, true);
+    ]
+
 let test_server_config_validation () =
   let config batch_limit capacity domains =
     { Server.default_config with batch_limit; capacity; domains }
@@ -824,5 +912,8 @@ let () =
             test_server_config_validation;
           case "end to end over stdin" test_end_to_end_stdin;
           case "EOF without shutdown" test_end_to_end_eof_without_shutdown;
+          case "line buffer bounded" test_lines_bounded;
+          case "overlong line between requests"
+            test_overlong_line_between_requests;
         ] );
     ]
