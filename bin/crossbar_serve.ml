@@ -9,7 +9,7 @@
 
 open Cmdliner
 
-let serve socket capacity domains batch_limit sequential =
+let serve socket capacity domains batch_limit =
   match
     (* A client that disconnects mid-write must not kill the daemon;
        write failures are handled per-connection instead. *)
@@ -22,7 +22,6 @@ let serve socket capacity domains batch_limit sequential =
           capacity;
           domains;
           batch_limit;
-          pipelined = not sequential;
         }
       ~input:Unix.stdin ~output:Unix.stdout ()
   with
@@ -66,16 +65,6 @@ let batch_limit_arg =
     & info [ "batch-limit" ] ~docv:"N"
         ~doc:"Serve at most $(docv) queued requests as one batch.")
 
-let sequential_arg =
-  Arg.(
-    value & flag
-    & info [ "sequential" ]
-        ~doc:
-          "Serve each batch inline instead of pipelining it onto a worker \
-           domain.  Responses are identical either way; pipelining (the \
-           default) overlaps reading the next batch with solving the \
-           current one.")
-
 let cmd =
   let doc = "hot-tree query daemon for the asynchronous multi-rate crossbar" in
   let man =
@@ -88,8 +77,8 @@ let cmd =
          root-to-leaf paths, and reads ($(b,blocking), \
          $(b,shadow_costs), $(b,admit)) are answered off the resident \
          diagonal with no solve at all.  Requests queued while a batch \
-         is in flight are grouped by tree and served together.  See \
-         docs/SERVE.md for the protocol.";
+         is served are grouped by tree and served together as the next \
+         batch, inline.  See docs/SERVE.md for the protocol.";
     ]
   in
   Cmd.v
@@ -97,6 +86,6 @@ let cmd =
     Term.(
       ret
         (const serve $ socket_arg $ capacity_arg $ domains_arg
-       $ batch_limit_arg $ sequential_arg))
+       $ batch_limit_arg))
 
 let () = exit (Cmd.eval cmd)

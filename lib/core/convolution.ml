@@ -941,6 +941,18 @@ let of_tree (tree : Factor_tree.t) =
   let diag = diagonal ctx h in
   let num_classes = Model.num_classes model in
   let corner = Lattice.get diag 0 in
+  (* G(N1, N2) >= 1, so a corner that is not positive means dynamic
+     rescaling flushed the root profile: every measure would be NaN or
+     zero.  Refuse, as [log_g] does, rather than answer silently. *)
+  if not (corner > 0.) then begin
+    Arena.release (arena ctx) diag;
+    failwith
+      (Printf.sprintf
+         "Convolution: G(%d, %d) was flushed to zero by %d dynamic \
+          rescale(s); the load lies beyond the factor tree's range.  Use \
+          Mva"
+         (Model.inputs model) (Model.outputs model) (Lattice.scale h))
+  end;
   let non_blocking =
     Array.init num_classes (fun r ->
         let a = Model.bandwidth model r in

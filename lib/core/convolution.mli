@@ -226,7 +226,9 @@ type t
 val solve : Model.t -> t
 (** Builds the factor tree (see {!Factor_tree.build}) and derives all
     measures from one shared diagonal pass.
-    @raise Failure as {!Factor_tree.build}. *)
+    @raise Failure as {!Factor_tree.build}, or if dynamic rescaling
+    flushed [G(N1, N2)] itself to zero (a load so heavy that the mass
+    sits hundreds of orders of magnitude away from the empty state). *)
 
 val solve_delta : ?recycle:bool -> previous:t -> Model.t -> t
 (** [solve_delta ~previous model] re-solves [model] through

@@ -151,6 +151,11 @@ module Memo = struct
     in
     notify_evicted t victims
 
+  let remove t key =
+    (* An explicit drop like [clear]: no eviction counted, [on_evict]
+       not fired, statistics untouched. *)
+    locked t (fun () -> Hashtbl.remove t.table key)
+
   let clear t =
     (* The table and its statistics reset together: after a clear,
        [hit_rate] describes only post-clear traffic, and [tick] restarts

@@ -71,6 +71,12 @@ module Memo : sig
       Neither a hit nor a miss is counted — [set] is a write, not a
       lookup. *)
 
+  val remove : 'a t -> key -> unit
+  (** Drops [key] if present.  Like {!clear} it is the owner's explicit
+      drop, not displacement: [on_evict] does not fire, and no counter
+      moves.  The serve registry uses it to forget a tree whose re-solve
+      failed after recycling the previous tree's lattices. *)
+
   val clear : 'a t -> unit
   (** Drops every entry {e and} resets the statistics: [hits], [misses]
       and [evictions] return to 0 (so [hit_rate] describes only

@@ -5,7 +5,6 @@ module Telemetry = Crossbar_engine.Telemetry
 module Model = Crossbar.Model
 module Traffic = Crossbar.Traffic
 module Convolution = Crossbar.Convolution
-module Solver = Crossbar.Solver
 module Measures = Crossbar.Measures
 module Revenue = Crossbar.Revenue
 
@@ -20,6 +19,17 @@ let guard f =
   | response -> response
   | exception Invalid_argument message -> Error message
   | exception Failure message -> Error message
+
+(* A solve or delta that fails may already have recycled the previous
+   tree's lattices (the warm install, [solve_delta ~recycle:true]), so a
+   request whose response was not built leaves its name absent: later
+   reads answer "unknown tree" instead of reading released lattices. *)
+let guard_solve registry ~tree f =
+  match guard f with
+  | Ok _ as ok -> ok
+  | Error _ as error ->
+      Registry.remove registry tree;
+      error
 
 let unknown_tree tree =
   Error (Printf.sprintf "unknown tree %S (never installed, or evicted)" tree)
@@ -42,48 +52,53 @@ let apply_change model (c : Protocol.change) =
         | None -> traffic)
 
 let solved_fields ~tree ~from_hot (entry : Registry.entry) =
-  let solution = Solver.solution_of_convolution entry.Registry.solved in
+  let solved = entry.Registry.solved in
   [
     ("tree", Json.String tree);
     ("from_hot", Json.Bool from_hot);
-    ("tree_combines", Json.Int solution.Solver.tree_combines);
-    ("banded_combines", Json.Int solution.Solver.banded_combines);
-    ("log_g", Json.Float solution.Solver.log_normalization);
-    ("measures", Protocol.measures_to_json solution.Solver.measures);
+    ("tree_combines", Json.Int (Convolution.combine_count solved));
+    ("banded_combines", Json.Int (Convolution.banded_combine_count solved));
+    ("log_g", Json.Float (Convolution.log_normalization solved));
+    ("measures", Protocol.measures_to_json (Convolution.measures solved));
   ]
 
 let handle_solve registry ~tree model =
-  guard (fun () ->
+  guard_solve registry ~tree (fun () ->
       let entry, from_hot = Registry.install registry ~name:tree model in
       Ok (solved_fields ~tree ~from_hot entry, Some (entry, from_hot)))
 
 let handle_delta registry ~tree changes =
   match Registry.find registry tree with
   | None -> unknown_tree tree
-  | Some { Registry.model; solved } ->
-      guard (fun () ->
-          let model' = List.fold_left apply_change model changes in
-          (* [Registry.replace] below drops the previous tree, and
-             requests for one tree are sharded onto a single worker, so
-             the update may recycle the replaced nodes into this
-             domain's arena. *)
-          let solved' =
-            Convolution.solve_delta ~recycle:true ~previous:solved model'
-          in
-          let entry = { Registry.model = model'; solved = solved' } in
-          Registry.replace registry ~name:tree entry;
-          let changed =
-            match Model.class_delta model model' with
-            | Some indices -> indices
-            | None -> []
-          in
-          Ok
-            ( solved_fields ~tree ~from_hot:true entry
-              @ [
-                  ( "changed_classes",
-                    Json.List (List.map (fun i -> Json.Int i) changed) );
-                ],
-              Some (entry, true) ))
+  | Some { Registry.model; solved } -> (
+      (* A bad change is refused before anything is recycled, so the
+         tree stays installed. *)
+      match guard (fun () -> Ok (List.fold_left apply_change model changes))
+      with
+      | Error _ as error -> error
+      | Ok model' ->
+          guard_solve registry ~tree (fun () ->
+              (* [Registry.replace] below drops the previous tree, and
+                 requests for one tree are sharded onto a single worker,
+                 so the update may recycle the replaced nodes into this
+                 domain's arena. *)
+              let solved' =
+                Convolution.solve_delta ~recycle:true ~previous:solved model'
+              in
+              let entry = { Registry.model = model'; solved = solved' } in
+              Registry.replace registry ~name:tree entry;
+              let changed =
+                match Model.class_delta model model' with
+                | Some indices -> indices
+                | None -> []
+              in
+              Ok
+                ( solved_fields ~tree ~from_hot:true entry
+                  @ [
+                      ( "changed_classes",
+                        Json.List (List.map (fun i -> Json.Int i) changed) );
+                    ],
+                  Some (entry, true) )))
 
 let handle_blocking registry ~tree =
   match Registry.find registry tree with
@@ -192,37 +207,31 @@ let handle ~registry ~telemetry ~domains (request : Protocol.request) =
     | Ok (fields, _) -> Protocol.ok_response ~id:request.Protocol.id ~op fields
     | Error message -> Protocol.error_response ~id:request.Protocol.id message
   in
-  let solved =
-    match outcome with Ok (_, solved) -> solved | Error _ -> None
-  in
+  let wall_seconds = Clock.elapsed_since started in
+  (* Counters come straight off the tree: no [log_g] or other O(cap)
+     pass, and nothing here can raise.  Reads off a hot tree do no
+     combine work; only solve/delta actually ran the recurrence. *)
   let record =
-    match solved with
-    | Some ({ Registry.solved; _ }, from_hot) ->
-        let solution = Solver.solution_of_convolution solved in
+    match outcome with
+    | Ok (_, Some ({ Registry.model; solved }, from_hot)) ->
+        let solving =
+          match request.Protocol.query with
+          | Protocol.Solve _ | Protocol.Delta _ -> true
+          | _ -> false
+        in
         {
-          Telemetry.wall_seconds = Clock.elapsed_since started;
-          lattice_cells = solution.Solver.lattice_cells;
-          rescales = solution.Solver.rescales;
-          (* Reads off a hot tree do no combine work; only solve/delta
-             actually ran the recurrence this request. *)
+          Telemetry.wall_seconds;
+          lattice_cells = (Model.inputs model + 1) * (Model.outputs model + 1);
+          rescales = Convolution.rescale_count solved;
           tree_combines =
-            (match request.Protocol.query with
-            | Protocol.Solve _ | Protocol.Delta _ ->
-                solution.Solver.tree_combines
-            | _ -> 0);
+            (if solving then Convolution.combine_count solved else 0);
           banded_combines =
-            (match request.Protocol.query with
-            | Protocol.Solve _ | Protocol.Delta _ ->
-                solution.Solver.banded_combines
-            | _ -> 0);
-          from_incremental =
-            (match request.Protocol.query with
-            | Protocol.Solve _ | Protocol.Delta _ -> from_hot
-            | _ -> false);
+            (if solving then Convolution.banded_combine_count solved else 0);
+          from_incremental = solving && from_hot;
         }
-    | None ->
+    | Ok (_, None) | Error _ ->
         {
-          Telemetry.wall_seconds = Clock.elapsed_since started;
+          Telemetry.wall_seconds;
           lattice_cells = 0;
           rescales = 0;
           tree_combines = 0;
@@ -296,156 +305,3 @@ let execute ?domains ~registry ~telemetry (requests : Protocol.request array) =
      to the arenas. *)
   ignore (Registry.recycle_evicted registry : int);
   { responses; shutdown = !shutdown }
-
-(* ---------- pipelined execution ---------- *)
-
-module Pipeline = struct
-  (* One worker domain, one batch in flight.  The server thread submits
-     a batch and returns to its select loop; the worker executes it and
-     pings a self-pipe byte, which the select loop watches alongside the
-     client socket — reading the next batch overlaps serving the current
-     one without threading callbacks through [execute]. *)
-
-  type slot =
-    | Empty  (** no batch submitted *)
-    | Batch of Protocol.request array  (** submitted, not yet taken *)
-    | Running  (** worker is executing *)
-    | Result of outcome  (** finished; collect pending *)
-    | Failed of exn  (** execute raised; collect re-raises *)
-    | Quit  (** shutdown requested *)
-
-  type shared = {
-    lock : Mutex.t;
-    cond : Condition.t;
-    mutable slot : slot;
-    notify_write : Unix.file_descr;
-  }
-
-  type t = {
-    shared : shared;
-    notify_read : Unix.file_descr;
-    worker : unit Domain.t;
-  }
-
-  let rec ping fd bytes =
-    match Unix.write fd bytes 0 1 with
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ping fd bytes
-
-  let worker_loop ?domains ~registry ~telemetry shared =
-    let bytes = Bytes.make 1 '\000' in
-    let rec await () =
-      match shared.slot with
-      | Batch _ | Quit -> ()
-      | Empty | Running | Result _ | Failed _ ->
-          Condition.wait shared.cond shared.lock;
-          await ()
-    in
-    let rec loop () =
-      Mutex.lock shared.lock;
-      await ();
-      match shared.slot with
-      | Quit -> Mutex.unlock shared.lock
-      | Batch requests ->
-          shared.slot <- Running;
-          Mutex.unlock shared.lock;
-          let finished =
-            match execute ?domains ~registry ~telemetry requests with
-            | outcome -> Result outcome
-            | exception e -> Failed e
-          in
-          Mutex.lock shared.lock;
-          shared.slot <- finished;
-          (* Wake a [shutdown] waiting out this batch; the worker itself
-             never waits while a slot it published is pending. *)
-          Condition.signal shared.cond;
-          Mutex.unlock shared.lock;
-          (* Ping after the slot is published: the mutex hand-off above
-             happens-before the select loop's read of the byte. *)
-          ping shared.notify_write bytes;
-          loop ()
-      | Empty | Running | Result _ | Failed _ -> assert false
-    in
-    loop ()
-
-  let start ?domains ~registry ~telemetry () =
-    let notify_read, notify_write = Unix.pipe ~cloexec:true () in
-    let shared =
-      { lock = Mutex.create (); cond = Condition.create (); slot = Empty;
-        notify_write }
-    in
-    (* Every [slot] access is under [lock]; the pipe byte only signals
-       readiness, never carries data. *)
-    let worker =
-      (* lint: guarded=shared — slot hand-off is under shared.lock *)
-      Domain.spawn (fun () -> worker_loop ?domains ~registry ~telemetry shared)
-    in
-    { shared; notify_read; worker }
-
-  let descriptor t = t.notify_read
-
-  let submit t requests =
-    let shared = t.shared in
-    Mutex.lock shared.lock;
-    match shared.slot with
-    | Empty ->
-        shared.slot <- Batch requests;
-        Condition.signal shared.cond;
-        Mutex.unlock shared.lock
-    | Batch _ | Running | Result _ | Failed _ | Quit ->
-        Mutex.unlock shared.lock;
-        invalid_arg "Batcher.Pipeline.submit: a batch is already in flight"
-
-  let collect t =
-    (* Drain the readiness byte first so a fresh [select] round blocks
-       instead of spinning on a stale ping. *)
-    let buffer = Bytes.create 1 in
-    let rec drain () =
-      match Unix.read t.notify_read buffer 0 1 with
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
-    in
-    drain ();
-    let shared = t.shared in
-    Mutex.lock shared.lock;
-    match shared.slot with
-    | Result outcome ->
-        shared.slot <- Empty;
-        Mutex.unlock shared.lock;
-        outcome
-    | Failed e ->
-        shared.slot <- Empty;
-        Mutex.unlock shared.lock;
-        raise e
-    | Empty | Batch _ | Running | Quit ->
-        Mutex.unlock shared.lock;
-        invalid_arg "Batcher.Pipeline.collect: no finished batch"
-
-  let shutdown t =
-    let shared = t.shared in
-    Mutex.lock shared.lock;
-    (* An executing batch cannot be interrupted — wait for the worker to
-       publish its slot, then quit.  An unconsumed Batch/Result/Failed is
-       discarded: shutdown is also the crash-cleanup path, where the
-       server loop abandoned whatever was in flight, and a worker that
-       never takes the batch (or a result nobody collects) must not keep
-       the domain alive or leak the pipe. *)
-    let rec settle () =
-      match shared.slot with
-      | Running ->
-          Condition.wait shared.cond shared.lock;
-          settle ()
-      | Empty | Batch _ | Result _ | Failed _ | Quit -> ()
-    in
-    settle ();
-    (match shared.slot with
-    | Quit -> ()
-    | Running -> assert false (* [settle] waited it out *)
-    | Empty | Batch _ | Result _ | Failed _ ->
-        shared.slot <- Quit;
-        Condition.signal shared.cond);
-    Mutex.unlock shared.lock;
-    Domain.join t.worker;
-    Unix.close t.notify_read;
-    Unix.close shared.notify_write
-end

@@ -16,6 +16,9 @@ type t = {
      actually dead (see below). *)
   evicted_lock : Mutex.t;
   evicted : (string * entry) list ref;
+  (* Names [remove]d since the last drain, under [evicted_lock]: their
+     parked trees, if any, are dropped at drain, never recycled. *)
+  removed : string list ref;
 }
 
 let create ?capacity () =
@@ -26,15 +29,28 @@ let create ?capacity () =
     evicted := (name, entry) :: !evicted;
     Mutex.unlock evicted_lock
   in
-  { memo = Memo.create ?capacity ~on_evict (); capacity; evicted_lock; evicted }
+  {
+    memo = Memo.create ?capacity ~on_evict ();
+    capacity;
+    evicted_lock;
+    evicted;
+    removed = ref [];
+  }
+
+let remove t name =
+  Memo.remove t.memo name;
+  Mutex.lock t.evicted_lock;
+  t.removed := name :: !(t.removed);
+  Mutex.unlock t.evicted_lock
 
 let recycle_evicted t =
-  let drained =
+  let drained, removed =
     Mutex.lock t.evicted_lock;
-    let drained = !(t.evicted) in
+    let drained = !(t.evicted) and removed = !(t.removed) in
     t.evicted := [];
+    t.removed := [];
     Mutex.unlock t.evicted_lock;
-    drained
+    (drained, removed)
   in
   (* An eviction can race a concurrent install/delta of the same name:
      the Memo displaces tree Y between another group's [find Y] and its
@@ -47,8 +63,11 @@ let recycle_evicted t =
      keeps only the newest parked entry per name ([drained] is
      newest-first): an older parked generation shares nodes with every
      newer one built from it by delta.  Dropped entries leak at worst
-     (names shard trees — no cross-name sharing), never corrupt. *)
+     (names shard trees — no cross-name sharing), never corrupt.  A
+     [remove]d name counts as seen from the start: a failed re-solve may
+     have recycled part of the tree its eviction parked. *)
   let seen = Hashtbl.create 8 in
+  List.iter (fun name -> Hashtbl.replace seen name ()) removed;
   List.fold_left
     (fun recycled (name, { solved; _ }) ->
       if Hashtbl.mem seen name then recycled

@@ -36,7 +36,9 @@ val install : t -> name:string -> Crossbar.Model.t -> entry * bool
     tree's lattices into the convolution arenas (safe because the
     batcher shards requests per tree: nothing else reads the entry
     being replaced).
-    @raise Failure as {!Crossbar.Convolution.solve}. *)
+    @raise Failure as {!Crossbar.Convolution.solve}.  The warm paths
+    recycle before the solve can fail, so after a failure [name] may
+    still map to released lattices: the caller must {!remove} it. *)
 
 val find : t -> string -> entry option
 (** Lookup by name, refreshing LRU recency; counts toward the
@@ -45,6 +47,12 @@ val find : t -> string -> entry option
 
 val replace : t -> name:string -> entry -> unit
 (** Store a delta-updated entry under an existing (or new) name. *)
+
+val remove : t -> string -> unit
+(** Forget [name] after a failed solve or delta, whose previous tree may
+    be partly recycled already; later reads answer "unknown tree".  Not
+    an eviction: the tree is neither counted nor parked, and a tree of
+    that name parked since the last drain is dropped, not recycled. *)
 
 val recycle_evicted : t -> int
 (** Drain the trees displaced by capacity pressure since the last call,

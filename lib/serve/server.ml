@@ -6,7 +6,6 @@ type config = {
   capacity : int option;
   domains : int option;
   batch_limit : int;
-  pipelined : bool;
 }
 
 let default_config =
@@ -15,7 +14,6 @@ let default_config =
     capacity = None;
     domains = None;
     batch_limit = 256;
-    pipelined = true;
   }
 
 module Lines = struct
@@ -165,20 +163,6 @@ let run ?(config = default_config) ~input ~output () =
   validate config;
   let registry = Registry.create ?capacity:config.capacity () in
   let telemetry = Telemetry.create () in
-  let executor =
-    if config.pipelined then
-      Some (Batcher.Pipeline.start ?domains:config.domains ~registry ~telemetry ())
-    else None
-  in
-  let pipeline_descriptor =
-    Option.map Batcher.Pipeline.descriptor executor
-  in
-  let is_pipeline fd =
-    match pipeline_descriptor with Some p -> p = fd | None -> false
-  in
-  (* The batch the pipeline worker is currently executing, kept so its
-     responses can be routed back to each request's connection. *)
-  let inflight : (conn * item) array option ref = ref None in
   let listen =
     Option.map (fun path -> (listen_socket path, path)) config.socket_path
   in
@@ -193,58 +177,37 @@ let run ?(config = default_config) ~input ~output () =
   in
   let conns = ref [ primary ] in
   let pending : (conn * item) Queue.t = Queue.create () in
-  (* Pop the oldest [batch_limit] pending items as one batch. *)
-  let take_batch () =
+  (* Serve the oldest [batch_limit] pending items as one batch, on this
+     domain, and write each response to its own connection in arrival
+     order; true once the batch held a [shutdown]. *)
+  let flush_batch () =
     let size = min config.batch_limit (Queue.length pending) in
-    Array.init size (fun _ -> Queue.pop pending)
-  in
-  (* The well-formed requests of a batch, each with its batch index —
-     deterministic in the batch, so dispatch and respond can both
-     derive it. *)
-  let requests_of batch =
-    let request_indices =
-      Array.to_list
-        (Array.mapi
-           (fun i (_, item) ->
-             match item with
-             | Request r -> Some (i, r)
-             | Malformed _ -> None)
-           batch)
+    let batch = Array.init size (fun _ -> Queue.pop pending) in
+    let requests =
+      Array.of_list
+        (List.filter_map
+           (fun (_, item) ->
+             match item with Request r -> Some r | Malformed _ -> None)
+           (Array.to_list batch))
     in
-    List.filter_map Fun.id request_indices
-  in
-  let respond batch (outcome : Batcher.outcome) =
-    let by_batch_index = Hashtbl.create 16 in
-    List.iteri
-      (fun k (i, _) ->
-        Hashtbl.replace by_batch_index i outcome.Batcher.responses.(k))
-      (requests_of batch);
-    Array.iteri
-      (fun i (conn, item) ->
+    let outcome =
+      Batcher.execute ?domains:config.domains ~registry ~telemetry requests
+    in
+    (* [responses] is index-aligned with [requests]: walk it in step
+       with the batch's well-formed items. *)
+    let next = ref 0 in
+    Array.iter
+      (fun (conn, item) ->
         let response =
           match item with
           | Malformed (id, message) -> Protocol.error_response ~id message
-          | Request _ -> Hashtbl.find by_batch_index i
+          | Request _ ->
+              incr next;
+              outcome.Batcher.responses.(!next - 1)
         in
         write_response conn response)
       batch;
     outcome.Batcher.shutdown
-  in
-  (* Serve a batch synchronously on this domain (the sequential mode,
-     and the drain path once every input has closed). *)
-  let flush_batch () =
-    let batch = take_batch () in
-    let requests = Array.of_list (List.map snd (requests_of batch)) in
-    let outcome =
-      Batcher.execute ?domains:config.domains ~registry ~telemetry requests
-    in
-    respond batch outcome
-  in
-  let dispatch pipeline =
-    let batch = take_batch () in
-    let requests = Array.of_list (List.map snd (requests_of batch)) in
-    Batcher.Pipeline.submit pipeline requests;
-    inflight := Some batch
   in
   let accept_client fd =
     match Unix.accept fd with
@@ -263,15 +226,9 @@ let run ?(config = default_config) ~input ~output () =
     | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ()
   in
   (* Runs exactly once, as the [Fun.protect] finalizer around the loop:
-     on the normal path every exit collects the pipeline's outcome
-     first, and on an exception path [Pipeline.shutdown] itself waits
-     out (and discards) whatever was in flight — either way the worker
-     domain is joined and the pipe, listen socket and client fds are
-     closed. *)
+     the listen socket and every client fd are closed however the loop
+     ends. *)
   let cleanup () =
-    (match executor with
-    | Some pipeline -> Batcher.Pipeline.shutdown pipeline
-    | None -> ());
     (match listen with
     | Some (fd, path) ->
         Unix.close fd;
@@ -292,29 +249,19 @@ let run ?(config = default_config) ~input ~output () =
     let live = List.filter (fun c -> c.open_) !conns in
     let watched =
       List.map (fun c -> c.fd) live
-      @ (match listen with Some (fd, _) -> [ fd ] | None -> [])
-      @
-      match (pipeline_descriptor, !inflight) with
-      | Some fd, Some _ -> [ fd ]
-      | _ -> []
+      @ match listen with Some (fd, _) -> [ fd ] | None -> []
     in
     match watched with
     | [] ->
-        (* Inputs exhausted, no socket to accept from, nothing in flight
-           (the pipeline pipe is watched while a batch runs): drain
-           synchronously and stop. *)
+        (* Inputs exhausted and no socket to accept from: drain and
+           stop. *)
         if Queue.is_empty pending then ()
         else if flush_batch () then ()
         else loop ()
     | _ :: _ ->
-        (* Block when idle or when a batch is in flight (nothing to do
-           until input or the pipeline pipe wakes us); poll when a batch
-           is queued and dispatchable, so every line that arrived while
-           the previous batch was being read joins it. *)
-        let timeout =
-          if Queue.is_empty pending || Option.is_some !inflight then -1.0
-          else 0.0
-        in
+        (* Block when idle; poll when a batch is queued, so every line
+           that arrived while the previous batch was served joins it. *)
+        let timeout = if Queue.is_empty pending then -1.0 else 0.0 in
         let readable, _, _ =
           match Unix.select watched [] [] timeout with
           | result -> result
@@ -330,41 +277,12 @@ let run ?(config = default_config) ~input ~output () =
                 (fun item -> Queue.push (conn, item) pending)
                 (read_available conn))
           live;
-        let nothing_more =
-          not (List.exists (fun fd -> not (is_pipeline fd)) readable)
+        (* Flush once no more input is immediately available, or the
+           batch cap is reached. *)
+        let flush =
+          (not (Queue.is_empty pending))
+          && (readable = [] || Queue.length pending >= config.batch_limit)
         in
-        (* Collect a finished batch, hand the worker the next one, and
-           only then serialize and write the finished batch's responses
-           — so response writing overlaps the next batch's solves.  The
-           single loop domain still writes batch N's responses before it
-           can collect batch N+1, so each connection sees its responses
-           in arrival order regardless. *)
-        let shutdown_now =
-          match (executor, !inflight) with
-          | Some pipeline, Some batch when List.exists is_pipeline readable ->
-              inflight := None;
-              let outcome = Batcher.Pipeline.collect pipeline in
-              if
-                (not outcome.Batcher.shutdown)
-                && (not (Queue.is_empty pending))
-                && (nothing_more || Queue.length pending >= config.batch_limit)
-              then dispatch pipeline;
-              respond batch outcome
-          | _ -> false
-        in
-        if shutdown_now then ()
-        else if Queue.is_empty pending || Option.is_some !inflight then loop ()
-        else if
-          (* Flush once no more input is immediately available, or the
-             batch cap is reached. *)
-          nothing_more || Queue.length pending >= config.batch_limit
-        then begin
-          match executor with
-          | Some pipeline ->
-              dispatch pipeline;
-              loop ()
-          | None -> if flush_batch () then () else loop ()
-        end
-        else loop ()
+        if flush && flush_batch () then () else loop ()
   in
   Fun.protect ~finally:cleanup loop

@@ -7,21 +7,14 @@
 
     Batching: the loop blocks until at least one request is readable,
     then drains every complete line already buffered on any connection
-    (up to [batch_limit]) into one batch and hands it to
-    {!Batcher.execute}.  Under load, queries pile up behind the batch in
-    flight and are served together off shared hot trees; an idle daemon
-    answers single requests immediately.  Responses are written back to
-    each request's own connection, in arrival order per connection.
-
-    Pipelining (default): the batch executes on a {!Batcher.Pipeline}
-    worker domain while this loop keeps reading and grouping the next
-    batch, so socket I/O — reading and parsing requests, serializing
-    and writing responses — overlaps solving.  Strictly one batch is
-    in flight, and the loop writes a finished batch's responses before
-    it can collect the next batch's — so the byte stream each
-    connection sees is identical to sequential mode
-    ([pipelined = false]), which serves each batch inline before
-    reading again. *)
+    (up to [batch_limit]) into one batch and serves it inline through
+    {!Batcher.execute} before reading again.  Under load, queries pile
+    up behind the batch being served and are served together off shared
+    hot trees; an idle daemon answers single requests immediately.
+    Responses are written back to each request's own connection, in
+    arrival order per connection.  How lines group into batches never
+    changes a response: a batch answers byte for byte as the same
+    requests served one at a time. *)
 
 (** Line framing for one connection, kept apart from the loop so its
     memory bound can be tested on its own. *)
@@ -65,16 +58,11 @@ type config = {
       (** batcher pool width (default
           {!Crossbar_engine.Pool.recommended_domains}) *)
   batch_limit : int;  (** max requests served as one batch *)
-  pipelined : bool;
-      (** execute batches on a {!Batcher.Pipeline} worker domain,
-          overlapping the next batch's reads with the current batch's
-          solves; [false] serves each batch inline (same responses,
-          no overlap) *)
 }
 
 val default_config : config
 (** No socket, unbounded registry, default pool width,
-    [batch_limit = 256], pipelined. *)
+    [batch_limit = 256]. *)
 
 val run :
   ?config:config ->

@@ -30,19 +30,19 @@ let check_raises_invalid label f =
         (Printexc.to_string e)
   | _ -> Alcotest.failf "%s: expected Invalid_argument, got success" label
 
+let contains text substring =
+  let n = String.length substring and m = String.length text in
+  let rec scan i =
+    i + n <= m && (String.sub text i n = substring || scan (i + 1))
+  in
+  scan 0
+
 (* Like [check_raises_invalid], but also requires the message to carry
    [substring] — validation errors must name the offending value. *)
 let check_invalid_contains label ~substring f =
   match f () with
   | exception Invalid_argument message ->
-      let contained =
-        let n = String.length substring and m = String.length message in
-        let rec scan i =
-          i + n <= m && (String.sub message i n = substring || scan (i + 1))
-        in
-        scan 0
-      in
-      if not contained then
+      if not (contains message substring) then
         Alcotest.failf "%s: Invalid_argument %S does not mention %S" label
           message substring
   | exception e ->
@@ -106,6 +106,23 @@ let multi_class_model ~classes ~size load =
            if i = 0 then poisson ~name:"md0" load
            else if i = 1 then poisson ~name:"md1" ~bandwidth:2 (0.8 *. load)
            else background_class ~prefix:"md" i))
+
+(* A heavy-traffic switch whose mass sits so far from the empty state
+   that the factor tree's dynamic rescaling flushes G(N) to zero: 512 x
+   512, class i of bandwidth 1 + (i mod 2) offering alpha = 0.3 / (8
+   bandwidth) at mu = 1, classes 0, 3 and 6 Pascal with beta =
+   alpha / 100.  MVA puts its blocking near 0.94.  [scale] multiplies
+   every alpha (and beta); at 0.1 the factor tree solves it. *)
+let heavy_model ?(scale = 1.0) () =
+  Crossbar.Model.square ~size:512
+    ~classes:
+      (List.init 8 (fun i ->
+           let bandwidth = 1 + (i mod 2) in
+           let alpha = scale *. 0.3 /. float_of_int (8 * bandwidth) in
+           let name = Printf.sprintf "h%d" i in
+           if i mod 3 = 0 then
+             pascal ~name ~bandwidth ~alpha ~beta:(alpha /. 100.) ()
+           else poisson ~name ~bandwidth alpha))
 
 (* Random small models for property-based cross-validation. *)
 let random_model_gen =

@@ -790,6 +790,23 @@ let test_combine_non_finite_operand () =
   check_combine_matches_naive "finite after refusal" ctx finite
     (make_profile ~cap:8 ~stride:1 ~mag:0 73)
 
+let test_flushed_root_fails_loudly () =
+  (* At full load rescaling flushes the whole root profile; measures
+     read off it would be NaN blocking and zero concurrency, so the
+     solve must refuse instead.  A tenth of the load solves cleanly. *)
+  (match Conv.solve (Helpers.heavy_model ()) with
+  | exception Failure message ->
+      Helpers.check_bool "message names the flush" true
+        (Helpers.contains message "flushed to zero")
+  | _ -> Alcotest.fail "heavy 512-port solve must raise Failure");
+  let light = Conv.measures (Conv.solve (Helpers.heavy_model ~scale:0.1 ())) in
+  Array.iter
+    (fun (c : Crossbar.Measures.per_class) ->
+      Helpers.check_bool "light blocking is a probability" true
+        (c.Crossbar.Measures.blocking >= 0.
+        && c.Crossbar.Measures.blocking <= 1.))
+    light.Crossbar.Measures.per_class
+
 (* ---------- knob validation ---------- *)
 
 let test_knob_validation () =
@@ -911,6 +928,8 @@ let () =
             test_normalize_non_finite;
           Helpers.case "combine refuses a non-finite operand"
             test_combine_non_finite_operand;
+          Helpers.case "a flushed root fails loudly"
+            test_flushed_root_fails_loudly;
         ] );
       ( "knobs",
         [

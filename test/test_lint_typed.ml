@@ -220,7 +220,6 @@ let annotated_sites =
     ("../lib/engine/sweep.ml", "guarded=points");
     ("../lib/engine/sweep.ml", "guarded=starts,points");
     ("../lib/serve/batcher.ml", "guarded=groups,requests");
-    ("../lib/serve/batcher.ml", "guarded=shared");
     ("../lib/core/band_pool.ml", "guarded=mb");
     ("../lib/core/convolution.ml", "guarded=ctx,left,right,result");
   ]
