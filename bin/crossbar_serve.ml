@@ -56,8 +56,11 @@ let domains_arg =
     & opt (some int) None
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Serve each batch with $(docv) worker domains.  Default: \
-           CROSSBAR_DOMAINS, else the machine's recommended domain count.")
+          "Fan each batch's tree groups out over at most $(docv) domains \
+           (the engine pool's width).  Banded combines inside a solve do \
+           not follow this flag: they split into CROSSBAR_DOMAINS bands, \
+           else one per recommended domain.  Default: CROSSBAR_DOMAINS, \
+           else the machine's recommended domain count.")
 
 let batch_limit_arg =
   Arg.(

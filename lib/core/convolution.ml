@@ -1,5 +1,6 @@
 module Special = Crossbar_numerics.Special
 module Logspace = Crossbar_numerics.Logspace
+module Prob = Crossbar_numerics.Prob
 
 (* The recurrence of Algorithm 1 factors per class (see DESIGN.md,
    "Class-factored convolution").  Writing Q(n1,n2) = G(n1,n2)/(n1! n2!)
@@ -396,6 +397,7 @@ let class_factor ctx model r =
       v := !v *. Lattice.rescale_factor
     end
   done;
+  Lattice.trim_tail seq;
   seq
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
@@ -435,6 +437,14 @@ let load_chunked dst src k =
     Lattice.unsafe_set dst u (Lattice.apply_chunks (Lattice.unsafe_get src u) k)
   done
 
+(* Both kernels are support-bounded: [ha] and [hb] are the operands'
+   last non-zero indices, so output [total]'s terms with a non-zero
+   operand have [v] in [max 0 (total - ha) .. min total hb], and every
+   output past [ha + hb] is zero.  A skipped term has an operand of
+   exactly 0, whose product with the finite rest is +0, and adding +0
+   changes no sum: the bounds are bit-identical to the full v-sum of
+   the reference combine. *)
+
 (* Dense kernel (both strides 1): every (u, v) pair contributes, so the
    stride test disappears from the inner loop.  Output [total]'s terms
    lie on anti-diagonal [total] of both weight tables, so one pass per
@@ -443,7 +453,7 @@ let load_chunked dst src k =
    once per kernel, not per term), and accumulates in strictly
    increasing [v] with the reference combine's grouping: bit-identical
    to it per output. *)
-let kernel_dense ctx left right result lo hi =
+let kernel_dense ctx left right ~ha ~hb result lo hi =
   let w1 = ctx.w1 and w2 = ctx.w2 in
   let left = Lattice.values left and right = Lattice.values right in
   (* lint: alloc=sum -- one scratch cell for the whole kernel *)
@@ -451,7 +461,7 @@ let kernel_dense ctx left right result lo hi =
   for total = lo to hi do
     let base = tri total in
     sum := 0.;
-    for v = 0 to total do
+    for v = Int.max 0 (total - ha) to Int.min total hb do
       sum :=
         !sum
         +. (Bigarray.Array1.unsafe_get left (total - v)
@@ -467,9 +477,10 @@ let kernel_dense ctx left right result lo hi =
    residue class modulo [lcm sa sb] when [gcd sa sb] divides [total]
    (none otherwise), and its least member is among the first
    [sa / gcd] multiples of [sb].  The kernel finds that member once per
-   output and steps by the lcm: the reference combine's contributing
-   terms, in its increasing-[v] order, with no division per term. *)
-let kernel_strided ctx left right ~sa ~sb result lo hi =
+   output, jumps it up to the support bound [total - ha] and steps by
+   the lcm: the reference combine's contributing terms, in its
+   increasing-[v] order, with no division per term. *)
+let kernel_strided ctx left right ~sa ~sb ~ha ~hb result lo hi =
   let w1 = ctx.w1 and w2 = ctx.w2 in
   let left = Lattice.values left and right = Lattice.values right in
   let g = gcd sa sb in
@@ -483,8 +494,10 @@ let kernel_strided ctx left right ~sa ~sb result lo hi =
       while (total - !v) mod sa <> 0 do
         v := !v + sb
       done;
-      let base = tri total in
-      while !v <= total do
+      let first = total - ha in
+      if !v < first then v := !v + ((first - !v + step - 1) / step * step);
+      let base = tri total and last = Int.min total hb in
+      while !v <= last do
         sum :=
           !sum
           +. (Bigarray.Array1.unsafe_get left (total - !v)
@@ -497,28 +510,29 @@ let kernel_strided ctx left right ~sa ~sb result lo hi =
     Lattice.unsafe_set result total !sum
   done
 
-let run_kernel ctx left right ~sa ~sb result lo hi =
-  if sa = 1 && sb = 1 then kernel_dense ctx left right result lo hi
-  else kernel_strided ctx left right ~sa ~sb result lo hi
+let run_kernel ctx left right ~sa ~sb ~ha ~hb result lo hi =
+  if sa = 1 && sb = 1 then kernel_dense ctx left right ~ha ~hb result lo hi
+  else kernel_strided ctx left right ~sa ~sb ~ha ~hb result lo hi
 
-(* Deterministic band boundaries.  The kernel's cost at output [total]
+(* Deterministic band boundaries over outputs [0 .. span], the live
+   span of [combine_into].  The kernel's cost at output [total]
    is proportional to [total + 1] (the length of its v-sum), so an
    even split of output *indices* would give the last band several
    times the work of the first.  Splitting the cumulative triangular
    work — boundary [i] at the output where i/bands of the total
    term count lies below — balances the bands: for 2 bands the split
-   lands near cap/sqrt(2), not cap/2.  Pure arithmetic on (cap, bands)
-   — never on scheduling — so banded results are a function of the
-   operands alone. *)
-let band_lo cap bands i =
+   lands near span/sqrt(2), not span/2.  Pure arithmetic on
+   (span, bands) — never on scheduling — so banded results are a
+   function of the operands alone. *)
+let band_lo span bands i =
   if i <= 0 then 0
-  else if i >= bands then cap + 1
+  else if i >= bands then span + 1
   else
-    let n = float_of_int (cap + 1) in
+    let n = float_of_int (span + 1) in
     let lo =
       int_of_float (n *. sqrt (float_of_int i /. float_of_int bands))
     in
-    if lo > cap + 1 then cap + 1 else lo
+    if lo > span + 1 then span + 1 else lo
 
 (* Splits one large combine's output lattice into [band_domains] row
    bands dispatched through the persistent {!Band_pool} (band 0 runs on
@@ -531,7 +545,7 @@ let band_lo cap bands i =
    counter of the build/update in flight (contexts are shared
    process-wide, so the context's own running total cannot attribute
    banded combines to one solve). *)
-let combine_banded ctx counter left right ~sa ~sb result =
+let combine_banded ctx counter left right ~sa ~sb ~ha ~hb ~span result =
   let bands = ctx.band_domains in
   (* Bands write disjoint output rows; the operands and the weight and
      ratio tables are read-only during the kernel.  One band thunk per
@@ -539,9 +553,9 @@ let combine_banded ctx counter left right ~sa ~sb result =
      only.) *)
   (* lint: guarded=ctx,left,right,result alloc=closure -- see above *)
   Band_pool.run ~bands (fun i ->
-      let lo = band_lo ctx.cap bands i in
-      let hi = band_lo ctx.cap bands (i + 1) - 1 in
-      if lo <= hi then run_kernel ctx left right ~sa ~sb result lo hi);
+      let lo = band_lo span bands i in
+      let hi = band_lo span bands (i + 1) - 1 in
+      if lo <= hi then run_kernel ctx left right ~sa ~sb ~ha ~hb result lo hi);
   Atomic.incr ctx.banded_total;
   if counter != ctx.banded_total then Atomic.incr counter
 
@@ -555,7 +569,11 @@ let combine_banded ctx counter left right ~sa ~sb result =
    bit-identical no matter which solve path — sequential or banded —
    runs.  The result lattice comes from the arena's free list when
    recycled nodes are available, so a warmed-up update loop allocates
-   nothing on the major heap.  [combine_into] threads the
+   nothing on the major heap.  Only the live span
+   [0 .. min cap (ha + hb)] of outputs is computed (the rest stay at
+   the acquired profile's zeros), banding is decided on that span, and
+   the result's underflowed tail is trimmed before it is normalised
+   ([Lattice.trim_normalize]).  [combine_into] threads the
    solve-local banded counter; the public [combine] attributes banded
    combines to the context's running total only. *)
 let combine_into ctx counter a b =
@@ -578,11 +596,15 @@ let combine_into ctx counter a b =
     end
   in
   let result = Arena.acquire arena ~cap:ctx.cap ~stride:(gcd sa sb) in
-  if ctx.cap >= ctx.band_threshold && ctx.band_domains > 1 then
-    combine_banded ctx counter left right ~sa ~sb result
-  else run_kernel ctx left right ~sa ~sb result 0 ctx.cap;
+  (* Scanned on the kernel's own operands: a chunked copy may have
+     underflowed more of its tail than the original. *)
+  let ha = Lattice.support left and hb = Lattice.support right in
+  let span = Int.min ctx.cap (ha + hb) in
+  if span >= ctx.band_threshold && ctx.band_domains > 1 then
+    combine_banded ctx counter left right ~sa ~sb ~ha ~hb ~span result
+  else run_kernel ctx left right ~sa ~sb ~ha ~hb result 0 span;
   Lattice.add_scale result (Lattice.scale a + Lattice.scale b + ka + kb);
-  Lattice.normalize result;
+  Lattice.trim_normalize result;
   result
 
 let combine ctx a b = combine_into ctx ctx.banded_total a b
@@ -590,9 +612,10 @@ let combine ctx a b = combine_into ctx ctx.banded_total a b
 (* The pre-kernel reference combine, kept as the bit-identity oracle
    for the dense, strided and banded kernels (test_kernel): checked
    accessors, per-term chunk application, a stride test on every term,
-   no arena, no bands.  It reads the weights through [weight], so
-   test_kernel also checks the tables against their row-major
-   recurrence.  Unreachable from the hot roots, so the allocation
+   every term of every output (no support bounds), its own tail trim
+   and normalize, no arena, no bands.  It reads the weights through
+   [weight], so test_kernel also checks the tables against their
+   row-major recurrence.  Unreachable from the hot roots, so the allocation
    sanctions of the kernel path do not apply here. *)
 let combine_naive ctx a b =
   let cap = ctx.cap in
@@ -634,6 +657,7 @@ let combine_naive ctx a b =
     Lattice.set result total !sum
   done;
   Lattice.add_scale result (Lattice.scale a + Lattice.scale b + !ka + !kb);
+  Lattice.trim_tail result;
   Lattice.normalize result;
   result
 
@@ -877,7 +901,8 @@ type t = {
 (* One shared diagonal pass serves every class's measures:
      diag.(j) = scaled G(N1-j, N2-j) = sum_u H(u) ratio_j(u),
    with ratio_j(u) read from the context's precomputed table: one
-   multiply-add per term, summed in increasing [u]. *)
+   multiply-add per term, summed in increasing [u], stopping at H's
+   support (the terms above it are +0, which changes no sum). *)
 let diagonal ctx h =
   (* From the arena free list: a recycled tree's diagonal is re-acquired
      by the next solve of the same shape. *)
@@ -886,10 +911,11 @@ let diagonal ctx h =
   in
   Lattice.add_scale diag (Lattice.scale h);
   let cap = ctx.cap and ratios = ctx.ratios in
+  let top = Lattice.support h in
   for j = 0 to cap do
     let row = ratio_row cap j in
     let sum = ref (Lattice.unsafe_get h 0) in
-    for u = 1 to cap - j do
+    for u = 1 to Int.min (cap - j) top do
       let ratio = Bigarray.Array1.unsafe_get ratios (row + u) in
       sum := !sum +. (Lattice.unsafe_get h u *. ratio)
     done;
@@ -905,8 +931,12 @@ let diagonal ctx h =
    feasible point up to (N1-d, N2-d), applying
    E_r(p) = P(n1-d,a) P(n2-d,a) B_r(p) (rho_r + (beta_r/mu_r) E_r(p - a I)).
    For Poisson classes the recursion degenerates to
-   E_r = rho_r P(N1-d,a) P(N2-d,a) B_r.  [depth = 0] is the paper's
-   Step 3 measure; deeper values feed the batched shadow costs. *)
+   E_r = rho_r P(N1-d,a) P(N2-d,a) B_r, so only the last step (m = 0)
+   is evaluated, with the same operands in the same order: the deeper
+   steps only feed [b_over_mu *. e = 0. *. e], which is +0 for the
+   finite [e] the chain produces, and [rho +. 0. = rho].  [depth = 0]
+   is the paper's Step 3 measure; deeper values feed the batched shadow
+   costs. *)
 let concurrency_at_depth model diag ~depth r =
   let a = Model.bandwidth model r in
   let rho = Model.rho model r in
@@ -914,8 +944,11 @@ let concurrency_at_depth model diag ~depth r =
   let n1 = Model.inputs model - depth and n2 = Model.outputs model - depth in
   let cap = min n1 n2 in
   let budget = if cap < 0 then -1 else cap in
+  let deepest =
+    if Prob.is_zero b_over_mu then Int.min 0 (budget / a) else budget / a
+  in
   let e = ref 0. in
-  for m = budget / a downto 0 do
+  for m = deepest downto 0 do
     let j = depth + (m * a) in
     let here = Lattice.get diag j in
     let down = if (m + 1) * a > budget then 0. else Lattice.get diag (j + a) in

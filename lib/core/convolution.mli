@@ -20,10 +20,14 @@
     The pairwise combine runs one contiguous pass per output over the
     {!Lattice} Bigarrays and the context's weight tables, packed by
     anti-diagonal, with per-domain scratch arenas ({!Arena}), so a
-    warmed-up re-solve loop performs no major-heap allocation; above a
-    capacity threshold a single combine's output is split into
-    deterministic row bands computed by parallel domains, bit-identical
-    to the sequential kernel (DESIGN.md, "Combine kernels").
+    warmed-up re-solve loop performs no major-heap allocation.  Every
+    profile carries only its live support: class factors and combine
+    results have their underflowed tail trimmed ({!Lattice.trim_tail}),
+    and the kernels sum only terms whose operands lie inside both
+    supports.  When that live span reaches a threshold a single
+    combine's output is split into deterministic row bands computed by
+    parallel domains, bit-identical to the sequential kernel (DESIGN.md,
+    "Combine kernels").
 
     Complexity: [O(cap^2 R)] time for a full solve with
     [cap = min N1 N2], [O(cap^2 #changed log R)] for a re-solve via
@@ -77,7 +81,7 @@ type context
 val default_combine_threshold : int
 (** The built-in banding threshold (256) used when neither the
     [combine_threshold] parameter nor [CROSSBAR_COMBINE_THRESHOLD] is
-    given — the capacity where a dense combine's cost overtakes a
+    given — the live span where a dense combine's cost overtakes a
     {!Band_pool} dispatch on the calibration hardware (DESIGN.md). *)
 
 val context_of :
@@ -87,8 +91,12 @@ val context_of :
   outputs:int ->
   unit ->
   context
-(** [combine_threshold] is the capacity at or above which a single combine
-    is banded across domains (default: the [CROSSBAR_COMBINE_THRESHOLD]
+(** [combine_threshold] is the live span at or above which a single
+    combine is banded across domains: the span is
+    [min cap (ha + hb)], with [ha] and [hb] the operands' last non-zero
+    indices ({!Lattice.support}), so a combine of short supports stays
+    on one domain however large the switch (default: the
+    [CROSSBAR_COMBINE_THRESHOLD]
     environment variable, else 256 — calibrated against the persistent
     {!Band_pool} dispatch cost, see DESIGN.md); [band_domains] the
     number of bands (default {!Domains.recommended}).  Banding is
@@ -135,8 +143,17 @@ val combine : context -> Lattice.t -> Lattice.t -> Lattice.t
     [(A * B)(u+v) = sum A(u) B(v) w1(u,v) w2(u,v)], as the solver runs
     it: one contiguous anti-diagonal pass per output (strided operands
     visit only their contributing terms), unchecked accessors, arena
-    scratch and result, banded across domains at or above the context's
-    threshold.
+    scratch and result, banded across domains when the live span
+    reaches the context's threshold.
+
+    Support-bounded: with [ha] and [hb] the operands' last non-zero
+    indices, output [t] sums only [v] in [max 0 (t - ha) .. min t hb],
+    and outputs past [ha + hb] are left at +0.  The skipped terms have
+    an operand of exactly 0, so their products are +0 and the bounds
+    change no bit.  The result's trailing run of entries below
+    [2^-200] of its largest is then zeroed ({!Lattice.trim_tail})
+    before the result is normalised.
+
     Operands are never mutated.  Each output accumulates its terms in
     strictly increasing [v], so the result is a bit-identical function
     of the operands regardless of banding or which domain runs it — and
@@ -145,9 +162,11 @@ val combine : context -> Lattice.t -> Lattice.t -> Lattice.t
 
 val combine_naive : context -> Lattice.t -> Lattice.t -> Lattice.t
 (** The pre-kernel reference combine — checked accessors ({!weight}
-    included), per-term chunk application and stride test, fresh
-    result, no bands — kept as the bit-identity oracle for {!combine}
-    in tests.  Never called by the solver. *)
+    included), per-term chunk application and stride test, every term
+    of every output (no support bounds), fresh result, no bands — kept
+    as the bit-identity oracle for {!combine} in tests.  It trims its
+    result's tail exactly as {!combine} does ({!Lattice.trim_tail},
+    then {!Lattice.normalize}).  Never called by the solver. *)
 
 (** The balanced combine tree over tilted class factors.  Leaves are the
     per-class profiles [C_r] in class order; each internal node caches
@@ -209,9 +228,9 @@ module Factor_tree : sig
       no changed class). *)
 
   val banded : t -> int
-  (** How many of those combines ran the banded parallel kernel (0 below
-      the context threshold — the telemetry [banded_combines]
-      counter). *)
+  (** How many of those combines ran the banded parallel kernel (0 while
+      every live span stays below the context threshold — the telemetry
+      [banded_combines] counter). *)
 
   val context : t -> context
   (** The combine context shared by every re-solve of this tree. *)
@@ -278,7 +297,9 @@ val per_class_distributions : t -> Measures.distribution array
     [r]'s weights are [C_r(j a_r) . H_{-r}] contracted through the
     corner weights ({!weight}), normalised over [j].  [O(R)] combines total
     instead of [R] independent solves; agrees with
-    {!Occupancy.class_distribution} to rounding.
+    {!Occupancy.class_distribution} to rounding.  Complements and leaves
+    are trimmed profiles, so a tail probability below about [2^-200] of
+    the class's largest reads exactly 0.
     @raise Failure if dynamic rescaling flushed an entire marginal (the
     distribution lies too far below the corner to represent). *)
 

@@ -52,6 +52,37 @@ let max_abs t =
   done;
   !m
 
+(* Entries below [max_abs * tail_cut] sit 147 bits below double
+   precision of the profile's largest entry, so no sum that also holds
+   that entry can see them. *)
+let tail_cut = 0x1.0p-200
+
+(* Zeroes the trailing run of entries whose magnitude is below [cut],
+   scanning down from [u]; the first entry at or above the cut (or NaN)
+   ends the run. *)
+let rec zero_tail (values : values) cut u =
+  if u >= 0 && Float.abs (Bigarray.Array1.unsafe_get values u) < cut then
+  begin
+    Bigarray.Array1.unsafe_set values u 0.;
+    zero_tail values cut (u - 1)
+  end
+
+(* Leading entries are never touched: under heavy load they hold the
+   corner of G.  A non-finite maximum trims nothing. *)
+let trim_below t m =
+  if Float.is_finite m then zero_tail t.values (m *. tail_cut) t.capacity
+
+let trim_tail t = trim_below t (max_abs t)
+
+(* The test is [Prob.is_zero]'s, spelt out: a call out of the module
+   would box every entry the scan reads.  NaN counts as support. *)
+let rec last_nonzero (values : values) u =
+  if u < 0 || not (Float.abs (Bigarray.Array1.unsafe_get values u) <= 0.)
+  then u
+  else last_nonzero values (u - 1)
+
+let support t = last_nonzero t.values t.capacity
+
 let add_scale t k =
   if k < 0 then invalid_arg "Lattice.add_scale: negative chunk count";
   t.scale <- t.scale + k
@@ -92,8 +123,8 @@ let chunks_for m =
     else k + 1
   end
 
-let normalize t =
-  let k = chunks_for (max_abs t) in
+let apply_normalize t m =
+  let k = chunks_for m in
   if k > 0 then begin
     for u = 0 to t.capacity do
       Bigarray.Array1.unsafe_set t.values u
@@ -101,5 +132,13 @@ let normalize t =
     done;
     t.scale <- t.scale + k
   end
+
+let normalize t = apply_normalize t (max_abs t)
+
+(* Trimming leaves the maximum in place, so one scan serves both. *)
+let trim_normalize t =
+  let m = max_abs t in
+  trim_below t m;
+  apply_normalize t m
 
 let log_scale t = float_of_int t.scale *. log_rescale_factor

@@ -72,6 +72,24 @@ val reset : ?stride:int -> t -> unit
 val max_abs : t -> float
 (** Largest absolute entry (0. for the all-zero profile). *)
 
+val tail_cut : float
+(** [2^-200]: an entry whose magnitude is below [tail_cut] times its
+    profile's largest lies 147 bits below double precision of that
+    largest entry. *)
+
+val trim_tail : t -> unit
+(** Zeroes the trailing run of entries below [max_abs t *. tail_cut]:
+    scanning down from [capacity], every entry below the cut becomes
+    [0.] until the first entry at or above it.  Leading and interior
+    entries are never touched, however small — under heavy load the
+    low entries hold the corner of [G].  A profile whose maximum is
+    zero or not finite is left alone.  Scale and stride are unchanged. *)
+
+val support : t -> int
+(** The largest index holding a non-zero entry ([-1] for the all-zero
+    profile), found by a scan down from the top.  Every entry above it
+    is zero; entries below it may be zero too. *)
+
 val add_scale : t -> int -> unit
 (** Bookkeeping only: credits [k] chunks to [scale] without touching the
     values (used when a combine pre-applied chunks to its operands).
@@ -96,6 +114,10 @@ val normalize : t -> unit
     repeated whole-lattice {!rescale} sweeps.  Non-finite maxima are
     left untouched: no chunk count can bring them below the
     threshold. *)
+
+val trim_normalize : t -> unit
+(** {!trim_tail} then {!normalize}, sharing one [max_abs] scan: trimming
+    never moves the maximum.  Bit-identical to the two calls in turn. *)
 
 val log_scale : t -> float
 (** [scale * log rescale_factor] — the log of the factor by which stored

@@ -55,8 +55,9 @@ type config = {
   capacity : int option;
       (** registry LRU capacity — resident hot trees ({!Registry.create}) *)
   domains : int option;
-      (** batcher pool width (default
-          {!Crossbar_engine.Pool.recommended_domains}) *)
+      (** most domains one batch's tree groups fan out over (default
+          {!Crossbar_engine.Pool.recommended_domains}); banded combines
+          follow [CROSSBAR_DOMAINS] or the core count instead *)
   batch_limit : int;  (** max requests served as one batch *)
 }
 

@@ -106,6 +106,145 @@ let combine_matches_naive =
         ctx a b;
       true)
 
+(* ---------- support-bounded kernels ---------- *)
+
+(* A profile like [make_profile] whose entries also decay by [decay]
+   bits per step — at 9 bits they reach the subnormals and then zero
+   well inside the lattice — and are cut to zero above index [top]: the
+   trailing zeros and underflowed tails that trimmed class factors and
+   combine results carry. *)
+let make_short_profile ~cap ~stride ~mag ~decay ~top seed =
+  let l = make_profile ~cap ~stride ~mag seed in
+  for u = 0 to cap do
+    if u > top then Lattice.set l u 0.
+    else Lattice.set l u (Float.ldexp (Lattice.get l u) (-decay * u))
+  done;
+  l
+
+let support_gen =
+  let open QCheck2.Gen in
+  let* cap = int_range 4 160 in
+  let* sa = int_range 1 4 in
+  let* sb = int_range 1 4 in
+  let* mag = oneofl [ 0; 0; 123; 245 ] in
+  let* decay = oneofl [ 0; 3; 9 ] in
+  let* top_a = int_range (-1) cap in
+  let* top_b = int_range (-1) cap in
+  let* threshold = int_range 1 (2 * cap) in
+  let* seed = int_range 1 1_000_000 in
+  return (cap, (sa, sb), (mag, decay), (top_a, top_b), threshold, seed)
+
+(* The support-bounded kernels against the reference combine, which
+   sums every term of every output: bit for bit, on one band and on
+   two, with banding decided on the live span [min cap (ha + hb)]
+   against a threshold drawn on either side of it; and every output
+   past [ha + hb] is exactly +0. *)
+let support_bounded_matches_naive =
+  QCheck2.Test.make
+    ~name:"support-bounded combine is bit-identical to combine_naive"
+    ~count:200 support_gen
+    (fun (cap, (sa, sb), (mag, decay), (top_a, top_b), threshold, seed) ->
+      let a = make_short_profile ~cap ~stride:sa ~mag ~decay ~top:top_a seed in
+      let b =
+        make_short_profile ~cap ~stride:sb ~mag ~decay ~top:top_b (seed + 1)
+      in
+      let label =
+        Printf.sprintf "cap=%d sa=%d sb=%d mag=%d decay=%d tops=%d,%d t=%d"
+          cap sa sb mag decay top_a top_b threshold
+      in
+      let unbanded = context ~domains:1 cap in
+      let naive = Conv.combine_naive unbanded a b in
+      let fast = Conv.combine unbanded a b in
+      check_same_lattice (label ^ " unbanded") naive fast;
+      let banded = context ~threshold ~domains:2 cap in
+      check_same_lattice (label ^ " banded") naive (Conv.combine banded a b);
+      let span = Int.min cap (Lattice.support a + Lattice.support b) in
+      Helpers.check_int
+        (label ^ ": banded exactly when the live span reaches the threshold")
+        (if span >= threshold then 1 else 0)
+        (Conv.banded_total banded);
+      for u = Int.max 0 (Lattice.support a + Lattice.support b + 1) to cap do
+        check_bits (Printf.sprintf "%s: output %d past ha + hb" label u) 0.
+          (Lattice.get fast u)
+      done;
+      true)
+
+(* The trim zeroes exactly the trailing run below max * 2^-200: the
+   first entry at or above the cut, scanning down, ends it, and every
+   other entry — a tiny leading one, a tiny interior one — keeps its
+   bits, as do the scale and the stride. *)
+let test_trim_tail () =
+  let cut = 2. *. Lattice.tail_cut in
+  let entries =
+    [| 1e-100; 2.; 1e-90; cut; 1e-70; 0.; 4e-320; Float.pred cut |]
+  in
+  let l = Lattice.create ~capacity:(Array.length entries - 1) () in
+  Array.iteri (Lattice.set l) entries;
+  Lattice.add_scale l 3;
+  Lattice.trim_tail l;
+  Array.iteri
+    (fun u x ->
+      check_bits
+        (Printf.sprintf "entry %d" u)
+        (if u <= 3 then x else 0.)
+        (Lattice.get l u))
+    entries;
+  Helpers.check_int "scale kept" 3 (Lattice.scale l);
+  Helpers.check_int "stride kept" 1 (Lattice.stride l);
+  Helpers.check_int "support ends at the cut" 3 (Lattice.support l);
+  (* All-zero and non-finite maxima trim nothing. *)
+  let zero = Lattice.create ~capacity:4 () in
+  Lattice.trim_tail zero;
+  Helpers.check_int "all-zero support" (-1) (Lattice.support zero);
+  let poisoned = Lattice.create ~capacity:2 () in
+  Lattice.set poisoned 0 infinity;
+  Lattice.set poisoned 2 1e-300;
+  Lattice.trim_tail poisoned;
+  check_bits "non-finite maximum trims nothing" 1e-300 (Lattice.get poisoned 2);
+  (* [trim_normalize] is the two calls in turn, sharing one scan. *)
+  List.iter
+    (fun mag ->
+      let one = make_short_profile ~cap:40 ~stride:1 ~mag ~decay:9 ~top:40 5 in
+      let two = make_short_profile ~cap:40 ~stride:1 ~mag ~decay:9 ~top:40 5 in
+      Lattice.trim_tail one;
+      Lattice.normalize one;
+      Lattice.trim_normalize two;
+      check_same_lattice (Printf.sprintf "trim_normalize mag=%d" mag) one two)
+    [ 0; 280; 305 ]
+
+(* The capacity-planning shape (8 classes of bandwidths 1 and 2 on 256
+   ports, per-pair rates of order 2^-17): its root's live support ends
+   below cap / 2, so the kernels skip more than half of every dense
+   anti-diagonal sum.  A change that stops trimming fails here, not only
+   in the benchmark. *)
+let test_planning_root_support () =
+  let size = 256 in
+  let rate x = Float.ldexp x (-17) in
+  let model =
+    Model.square ~size
+      ~classes:
+        (List.init 8 (fun index ->
+             let name = Printf.sprintf "k%d" index in
+             let bandwidth = if index mod 2 = 0 then 1 else 2 in
+             let alpha = rate (0.25 +. (0.25 *. float_of_int index)) in
+             if index mod 4 = 3 then
+               Traffic.pascal ~name ~bandwidth ~alpha ~beta:(rate (1. /. 64.))
+                 ~service_rate:1.0 ()
+             else
+               Traffic.poisson ~name ~bandwidth ~rate:alpha ~service_rate:1.0
+                 ()))
+  in
+  let tree = Conv.tree (Conv.solve model) in
+  let root = Tree.root tree in
+  let support = Lattice.support root in
+  if support >= size / 2 then
+    Alcotest.failf "root support %d of cap %d is not below cap / 2" support
+      size;
+  if Lattice.support (Tree.leaf tree 0) >= size / 2 then
+    Alcotest.failf "leaf 0 support %d of cap %d is not below cap / 2"
+      (Lattice.support (Tree.leaf tree 0))
+      size
+
 (* Unequal stride pairs sharing a factor, each on both sides, at caps
    where [cap + 1] is not a multiple of their lcm (so the last residue
    class is cut short), on one band and on two. *)
@@ -655,14 +794,11 @@ let check_allocation_ceiling label ~ceiling words =
        fail under --profile dev; do not raise the ceiling for that."
       label words ceiling
 
-let check_warm_combine_allocation label ~sa ~sb =
-  let cap = 256 in
+let check_warm_combine_allocation label a b =
   (* One band: the whole kernel runs on this domain, where the counter
      can see it. *)
-  let ctx = context ~domains:1 cap in
+  let ctx = context ~domains:1 (Lattice.capacity a) in
   let arena = Conv.arena ctx in
-  let a = make_profile ~cap ~stride:sa ~mag:0 71 in
-  let b = make_profile ~cap ~stride:sb ~mag:0 72 in
   let combine_and_release () =
     Conv.Arena.release arena (Conv.combine ctx a b)
   in
@@ -673,13 +809,24 @@ let check_warm_combine_allocation label ~sa ~sb =
     (minor_words_of combine_and_release)
 
 let test_combine_allocation () =
-  check_warm_combine_allocation "dense combine at cap 256" ~sa:1 ~sb:1
+  check_warm_combine_allocation "dense combine at cap 256"
+    (make_profile ~cap:256 ~stride:1 ~mag:0 71)
+    (make_profile ~cap:256 ~stride:1 ~mag:0 72)
+
+(* Operands whose support ends far below the capacity: the support
+   scans walk the zero tails entry by entry, and must not box a float
+   per entry while they do. *)
+let test_short_support_allocation () =
+  check_warm_combine_allocation "dense combine of short supports at cap 256"
+    (make_short_profile ~cap:256 ~stride:1 ~mag:0 ~decay:0 ~top:90 73)
+    (make_short_profile ~cap:256 ~stride:1 ~mag:0 ~decay:0 ~top:20 74)
 
 (* The strided kernel at the dense case's ceiling: a bandwidth-1 by
    bandwidth-2 leaf pair, the commonest strided combine of a solve. *)
 let test_strided_combine_allocation () =
-  check_warm_combine_allocation "strided combine (1 x 2) at cap 256" ~sa:1
-    ~sb:2
+  check_warm_combine_allocation "strided combine (1 x 2) at cap 256"
+    (make_profile ~cap:256 ~stride:1 ~mag:0 71)
+    (make_profile ~cap:256 ~stride:2 ~mag:0 72)
 
 let test_solve_delta_allocation () =
   let model load = Helpers.single_class_model ~classes:8 ~size:256 load in
@@ -867,6 +1014,13 @@ let () =
           Helpers.case "degenerate tile sizes" test_degenerate_tiles;
           Helpers.case "unequal non-coprime strides" test_non_coprime_strides;
         ] );
+      ( "support bounds",
+        [
+          Helpers.qcheck support_bounded_matches_naive;
+          Helpers.case "trim zeroes only the trailing run" test_trim_tail;
+          Helpers.case "planning root support below cap / 2"
+            test_planning_root_support;
+        ] );
       ( "weight tables",
         [
           Helpers.case "bit-identical to the row-major recurrence"
@@ -920,6 +1074,8 @@ let () =
             test_release_flags_track_dune_lang;
           Helpers.case "strided combine at cap 256 allocates <= 32 words"
             test_strided_combine_allocation;
+          Helpers.case "short-support combine allocates <= 32 words"
+            test_short_support_allocation;
         ] );
       ( "normalize",
         [
