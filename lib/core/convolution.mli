@@ -323,7 +323,10 @@ val log_g : t -> inputs:int -> outputs:int -> float
     cannot be corrupted silently. *)
 
 val log_normalization : t -> float
-(** [log G(N1, N2)]. *)
+(** [log G(N1, N2)], in O(1) once solved: it is the solved diagonal's
+    corner entry, which is bit for bit the sum [log_g] forms at
+    [(N1, N2)].  Never raises: the solve already refused a flushed
+    corner. *)
 
 val rescale_count : t -> int
 (** Number of adaptive rescale chunks folded into [H] across all partial

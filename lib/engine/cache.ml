@@ -180,23 +180,32 @@ module Memo = struct
         if total = 0 then 0. else float_of_int t.hits /. float_of_int total)
 end
 
+(* Fixed-width little-endian fields, so the key parses back uniquely:
+   the dimensions, the length-prefixed algorithm name, then per class a
+   length-prefixed name, the bandwidth and the exact bit patterns of the
+   three rates.  No Printf: the key is built on every sweep point. *)
+let add_int b n = Buffer.add_int64_le b (Int64.of_int n)
+let add_float b x = Buffer.add_int64_le b (Int64.bits_of_float x)
+
+let add_string b s =
+  add_int b (String.length s);
+  Buffer.add_string b s
+
 let key_of_model ?algorithm model =
   let algorithm =
     match algorithm with Some a -> a | None -> Solver.recommended model
   in
-  let b = Buffer.create 96 in
-  Buffer.add_string b
-    (Printf.sprintf "%dx%d|%s" (Model.inputs model) (Model.outputs model)
-       (Solver.algorithm_to_string algorithm));
+  let b = Buffer.create 128 in
+  add_int b (Model.inputs model);
+  add_int b (Model.outputs model);
+  add_string b (Solver.algorithm_to_string algorithm);
   Array.iter
     (fun (c : Traffic.t) ->
-      (* Length-prefix the name so no class name can alias the separators;
-         %h prints the exact bit pattern of each rate. *)
-      Buffer.add_string b
-        (Printf.sprintf "|%d:%s;%d;%h;%h;%h"
-           (String.length c.Traffic.name)
-           c.Traffic.name c.Traffic.bandwidth c.Traffic.alpha c.Traffic.beta
-           c.Traffic.service_rate))
+      add_string b c.Traffic.name;
+      add_int b c.Traffic.bandwidth;
+      add_float b c.Traffic.alpha;
+      add_float b c.Traffic.beta;
+      add_float b c.Traffic.service_rate)
     (Model.classes model);
   Buffer.contents b
 

@@ -189,6 +189,45 @@ let test_cache_algorithm_in_key () =
        (Cache.key_of_model ~algorithm:Solver.Convolution model)
        (Cache.key_of_model ~algorithm:Solver.Mean_value model))
 
+let test_cache_key_injective () =
+  let cls ?(bandwidth = 1) ?(alpha = 0.3) ?(beta = 0.) name =
+    Crossbar.Traffic.create ~name ~bandwidth ~alpha ~beta ~service_rate:1. ()
+  in
+  let model classes = Model.square ~size:6 ~classes in
+  let key m = Cache.key_of_model ~algorithm:Solver.Convolution m in
+  let pair = model [ cls "a"; cls "b" ] in
+  let prefix = String.length (key (model [])) in
+  (* A single class named after the bytes of a two-class key: the
+     length prefix keeps it apart from the model it spells. *)
+  let spelt =
+    model [ cls (String.sub (key pair) prefix (String.length (key pair) - prefix)) ]
+  in
+  let models =
+    [
+      pair;
+      spelt;
+      model [ cls "a|b" ];
+      model [ cls "a:b" ];
+      model [ cls "a;b" ];
+      model [ cls "1:a"; cls "b" ];
+      model [ cls "1"; cls ":ab" ];
+      model [ cls "12" ];
+      model [ cls "1"; cls "2" ];
+      model [ cls ~bandwidth:2 "12" ];
+      model [ cls ~alpha:(Float.succ 0.3) "12" ];
+      model [ cls ~alpha:(Float.pred 0.3) "12" ];
+      model [ cls ~beta:(-0.) "12" ];
+      model [];
+    ]
+  in
+  let keys = List.map key models in
+  check_int "every model keys apart" (List.length models)
+    (List.length (List.sort_uniq String.compare keys));
+  List.iter2
+    (fun m k -> check_bool "equal models, equal keys" true (String.equal k (key m)))
+    [ model [ cls "1:a"; cls "b" ]; model [ cls ~beta:(-0.) "12" ] ]
+    [ List.nth keys 5; List.nth keys 12 ]
+
 (* ---------- memo capacity / eviction ---------- *)
 
 let memo_get memo key value =
@@ -835,6 +874,8 @@ let () =
           case "structural hit" test_cache_structural_hit;
           case "perturbed rate misses" test_cache_perturbed_rate_misses;
           case "algorithm in key" test_cache_algorithm_in_key;
+          case "key injective on names, ulps and signed zeros"
+            test_cache_key_injective;
           qcheck cache_hammer_prop;
         ] );
       ( "memo capacity",
