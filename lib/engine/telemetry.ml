@@ -54,6 +54,7 @@ type t = {
   mutex : Mutex.t;
   walls : walls;
   histogram : int array;
+  mutable requests : int;
   mutable solves : int;
   mutable lattice_cells : int;
   mutable rescales : int;
@@ -67,6 +68,7 @@ let create () =
     mutex = Mutex.create ();
     walls = { total = 0.; max = 0. };
     histogram = Array.make buckets 0;
+    requests = 0;
     solves = 0;
     lattice_cells = 0;
     rescales = 0;
@@ -88,6 +90,7 @@ let record t solve =
   (* Bare lock/unlock rather than [locked]: nothing between them can
      raise, and a closure here would allocate on every request. *)
   Mutex.lock t.mutex;
+  t.requests <- t.requests + 1;
   t.solves <- t.solves + 1;
   t.walls.total <- t.walls.total +. wall;
   if wall > t.walls.max then t.walls.max <- wall;
@@ -100,7 +103,13 @@ let record t solve =
     t.incremental_solves <- t.incremental_solves + 1;
   Mutex.unlock t.mutex
 
+let record_request t =
+  Mutex.lock t.mutex;
+  t.requests <- t.requests + 1;
+  Mutex.unlock t.mutex
+
 let count t = locked t (fun () -> t.solves)
+let requests t = locked t (fun () -> t.requests)
 let total_wall_seconds t = locked t (fun () -> t.walls.total)
 
 (* Histogram estimate of the nearest-rank percentile (the smallest wall
@@ -127,6 +136,7 @@ let to_json ?cache ?domains t =
   let base =
     locked t (fun () ->
         [
+          ("requests", Json.Int t.requests);
           ("solves", Json.Int t.solves);
           ("wall_seconds", Json.Float t.walls.total);
           ("wall_seconds_p50", Json.Float (percentile t 0.5));

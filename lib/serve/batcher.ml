@@ -208,38 +208,23 @@ let handle ~registry ~telemetry ~domains (request : Protocol.request) =
     | Error message -> Protocol.error_response ~id:request.Protocol.id message
   in
   let wall_seconds = Clock.elapsed_since started in
-  (* Counters come straight off the tree: no [log_g] or other O(cap)
-     pass, and nothing here can raise.  Reads off a hot tree do no
-     combine work; only solve/delta actually ran the recurrence. *)
-  let record =
-    match outcome with
-    | Ok (_, Some ({ Registry.model; solved }, from_hot)) ->
-        let solving =
-          match request.Protocol.query with
-          | Protocol.Solve _ | Protocol.Delta _ -> true
-          | _ -> false
-        in
+  (* Only a solve or delta that installed a tree counts as a solve;
+     reads, failures and control requests count as requests alone.
+     Counters come straight off the tree: no [log_g] or other O(cap)
+     pass, and nothing here can raise. *)
+  (match (request.Protocol.query, outcome) with
+  | ( (Protocol.Solve _ | Protocol.Delta _),
+      Ok (_, Some ({ Registry.model; solved }, from_hot)) ) ->
+      Telemetry.record telemetry
         {
           Telemetry.wall_seconds;
           lattice_cells = (Model.inputs model + 1) * (Model.outputs model + 1);
           rescales = Convolution.rescale_count solved;
-          tree_combines =
-            (if solving then Convolution.combine_count solved else 0);
-          banded_combines =
-            (if solving then Convolution.banded_combine_count solved else 0);
-          from_incremental = solving && from_hot;
+          tree_combines = Convolution.combine_count solved;
+          banded_combines = Convolution.banded_combine_count solved;
+          from_incremental = from_hot;
         }
-    | Ok (_, None) | Error _ ->
-        {
-          Telemetry.wall_seconds;
-          lattice_cells = 0;
-          rescales = 0;
-          tree_combines = 0;
-          banded_combines = 0;
-          from_incremental = false;
-        }
-  in
-  Telemetry.record telemetry record;
+  | _ -> Telemetry.record_request telemetry);
   response
 
 let execute ?domains ~registry ~telemetry (requests : Protocol.request array) =

@@ -57,8 +57,9 @@ if grep -q '"ok":false' "$OUT"; then
   exit 1
 fi
 # The stats response (id 6) follows the five tree queries: its telemetry
-# must count exactly those and carry fixed-size aggregates only, never a
-# per-request record list.
+# must count exactly those as requests, only the solve and the delta as
+# solves, and carry fixed-size aggregates only, never a per-request
+# record list.
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$OUT" <<'PYEOF'
 import json, sys
@@ -71,8 +72,10 @@ if stats is None:
 telemetry = stats.get("telemetry")
 if not isinstance(telemetry, dict):
     sys.exit(f"FATAL: stats response lacks a telemetry object: {stats}")
-if telemetry.get("solves") != 5:
-    sys.exit(f"FATAL: stats telemetry.solves is {telemetry.get('solves')}, expected 5")
+if telemetry.get("requests") != 5:
+    sys.exit(f"FATAL: stats telemetry.requests is {telemetry.get('requests')}, expected 5")
+if telemetry.get("solves") != 2:
+    sys.exit(f"FATAL: stats telemetry.solves is {telemetry.get('solves')}, expected 2")
 if "records" in telemetry:
     sys.exit("FATAL: stats telemetry carries a records list")
 PYEOF
@@ -82,8 +85,8 @@ else
     echo "FATAL: no stats response (id 6)" >&2
     exit 1
   fi
-  if ! printf '%s\n' "$stats_line" | grep -q '"telemetry":{"solves":5,'; then
-    echo "FATAL: stats telemetry.solves is not 5: $stats_line" >&2
+  if ! printf '%s\n' "$stats_line" | grep -q '"telemetry":{"requests":5,"solves":2,'; then
+    echo "FATAL: stats telemetry is not 5 requests and 2 solves: $stats_line" >&2
     exit 1
   fi
   if printf '%s\n' "$stats_line" | grep -q '"records"'; then

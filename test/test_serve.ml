@@ -552,6 +552,8 @@ let test_stats_and_shutdown () =
   | Some summary ->
       check_bool "solve counted before stats" true
         (Json.member "solves" summary = Some (Json.Int 1));
+      check_bool "one request before stats" true
+        (Json.member "requests" summary = Some (Json.Int 1));
       check_bool "no record list in daemon stats" true
         (Json.member "records" summary = None)
   | None -> Alcotest.fail "stats missing telemetry");
@@ -560,9 +562,32 @@ let test_stats_and_shutdown () =
       check_bool "one resident tree" true
         (Json.member "entries" registry_stats = Some (Json.Int 1))
   | None -> Alcotest.fail "stats missing registry");
-  (* Every request produced a telemetry record, stats and shutdown
-     included. *)
-  check_int "three records" 3 (Telemetry.count telemetry)
+  (* Every request is counted, stats and shutdown included; only the
+     solve that built a tree counts as a solve. *)
+  check_int "three requests" 3 (Telemetry.requests telemetry);
+  check_int "one solve" 1 (Telemetry.count telemetry)
+
+let test_stats_counts_requests_and_solves_apart () =
+  (* The mixed stream's 7 requests hold one solve and two deltas; its
+     reads do no solve work, nor do a read of an absent tree and a
+     heavy solve whose root the rescaling flushes. *)
+  let model = small_model () in
+  let requests =
+    Array.append (mixed_stream model)
+      [|
+        request 7 (Protocol.Blocking { tree = "absent" });
+        solve_request ~tree:"heavy" 8 (Helpers.heavy_model ());
+      |]
+  in
+  let outcome, telemetry = execute requests in
+  check_bool "absent read fails" false (ok outcome.Batcher.responses.(7));
+  check_bool "heavy solve fails" false (ok outcome.Batcher.responses.(8));
+  check_int "every request counted" 9 (Telemetry.requests telemetry);
+  check_int "solve and deltas counted as solves" 3 (Telemetry.count telemetry);
+  let json = Telemetry.to_json telemetry in
+  check_bool "requests field" true
+    (Json.member "requests" json = Some (Json.Int 9));
+  check_bool "solves field" true (Json.member "solves" json = Some (Json.Int 3))
 
 let test_multi_tree_batch_isolated () =
   (* Two trees in one batch: groups run on separate workers yet each
@@ -1102,6 +1127,8 @@ let () =
           case "unknown tree and bad change" test_unknown_tree_and_bad_change;
           case "admit semantics" test_admit_semantics;
           case "stats and shutdown" test_stats_and_shutdown;
+          case "stats counts requests and solves apart"
+            test_stats_counts_requests_and_solves_apart;
           case "multi-tree batch isolated" test_multi_tree_batch_isolated;
           case "flushed solve in one batch" test_flushed_solve_in_one_batch;
           case "flushed re-solve drops the tree"
