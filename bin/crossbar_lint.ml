@@ -167,7 +167,9 @@ let () =
     print_newline ();
     exit 0
   end;
-  let findings = Lint.Driver.lint ~config paths in
+  (* Both stages share one parse of the sources and one scope walk. *)
+  let loaded = Lint.Driver.load ~config paths in
+  let findings = Lint.Driver.lint_loaded ~config loaded in
   let findings, typed_stats =
     if not !typed then (findings, None)
     else begin
@@ -179,7 +181,7 @@ let () =
       in
       let cmt_index = Typed.Cmt_index.scan ~root:cmt_root in
       let typed_findings, stats =
-        Typed.Driver.run ~config ~cmt_index ~cmt_root paths
+        Typed.Driver.run_loaded ~config ~cmt_index ~cmt_root loaded
       in
       List.iter
         (fun (path, reason) ->

@@ -120,9 +120,17 @@ let scope_membership ~config sources =
       in
       Deps.reachable graph ~roots
 
-let lint ~config paths =
+type loaded = {
+  sources : source list;
+  syntax_findings : Finding.t list;
+  in_scope : string -> bool;
+}
+
+let load ~config paths =
   let sources, syntax_findings = load_sources paths in
-  let r3_applies = scope_membership ~config sources in
+  { sources; syntax_findings; in_scope = scope_membership ~config sources }
+
+let lint_loaded ~config { sources; syntax_findings; in_scope = r3_applies } =
   let rule_findings =
     List.concat_map
       (fun source ->
@@ -148,6 +156,8 @@ let lint ~config paths =
     else []
   in
   List.sort_uniq Finding.compare (syntax_findings @ rule_findings @ r6)
+
+let lint ~config paths = lint_loaded ~config (load ~config paths)
 
 let pp_report ppf findings =
   List.iter (fun f -> Format.fprintf ppf "%a@." Finding.pp f) findings;

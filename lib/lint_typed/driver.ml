@@ -22,8 +22,8 @@ let timed f =
   let value = f () in
   (value, Sys.time () -. t0)
 
-let run ~(config : Lint.Config.t) ~cmt_index ~cmt_root paths =
-  let sources, _syntax = Lint.Driver.load_sources paths in
+let run_loaded ~(config : Lint.Config.t) ~cmt_index ~cmt_root
+    { Lint.Driver.sources; in_scope; syntax_findings = _ } =
   let impls =
     List.filter
       (fun (s : Lint.Driver.source) ->
@@ -32,7 +32,6 @@ let run ~(config : Lint.Config.t) ~cmt_index ~cmt_root paths =
         | Lint.Driver.Intf | Lint.Driver.Broken -> false)
       sources
   in
-  let in_scope = Lint.Driver.scope_membership ~config sources in
   let session = Typed_rules.session () in
   let missing = ref [] in
   let errors = ref [] in
@@ -152,3 +151,6 @@ let run ~(config : Lint.Config.t) ~cmt_index ~cmt_root paths =
         | Some e -> e.Effects.domain_iterations
         | None -> 0);
     } )
+
+let run ~config ~cmt_index ~cmt_root paths =
+  run_loaded ~config ~cmt_index ~cmt_root (Lint.Driver.load ~config paths)

@@ -29,6 +29,16 @@ type stats = {
       (** passes the R13 domain fixpoint took (0 when R13 is off) *)
 }
 
+val run_loaded :
+  config:Crossbar_lint.Config.t ->
+  cmt_index:Cmt_index.t ->
+  cmt_root:string ->
+  Crossbar_lint.Driver.loaded ->
+  Crossbar_lint.Finding.t list * stats
+(** {!run} over a path set stage one already loaded
+    ({!Crossbar_lint.Driver.load}), so a run of both stages parses each
+    file and resolves the R3/R8 scope once. *)
+
 val run :
   config:Crossbar_lint.Config.t ->
   cmt_index:Cmt_index.t ->
