@@ -49,7 +49,10 @@ let log_permutations n k =
   else if k > n then neg_infinity
   else log_factorial n -. log_factorial (n - k)
 
-let permutations n k =
+(* Inlined, so a caller's chain of falling factorials makes no call and
+   boxes no result (the concurrency chain of Convolution runs two per
+   step). *)
+let[@inline] permutations n k =
   if n < 0 || k < 0 then invalid_arg "Special.permutations: negative"
   else if k > n then 0.
   else begin
