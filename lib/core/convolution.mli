@@ -240,11 +240,19 @@ module Factor_tree : sig
 end
 
 type t
-(** A solved model: the factor tree and the measure diagonal. *)
+(** A solved model: the factor tree and the measure diagonal, whose row
+    [j] is the scaled [G(N1 - j, N2 - j)].  Diagonal rows are summed
+    on demand: a solve sums the rows its measures read, and any other
+    row is summed on its first read (by {!concurrencies_at_depth}) and
+    kept.  Those reads write the solve, so one solve may be read by only
+    one domain at a time; hand it to another domain only through a
+    synchronising call (a pool task, a lock).  The serve registry's
+    per-tree sharding and [Engine.Sweep]'s per-chain walk keep to
+    this. *)
 
 val solve : Model.t -> t
 (** Builds the factor tree (see {!Factor_tree.build}) and derives all
-    measures from one shared diagonal pass.
+    measures from the diagonal rows they read.
     @raise Failure as {!Factor_tree.build}, or if dynamic rescaling
     flushed [G(N1, N2)] itself to zero (a load so heavy that the mass
     sits hundreds of orders of magnitude away from the empty state). *)
@@ -310,7 +318,10 @@ val concurrencies_at_depth : t -> depth:int -> float array
     per-pair BPP parameters, so [G_reduced(j) = diag.(depth + j)] and no
     re-solve is needed.  [depth = 0] reproduces the measures of {!solve}
     bit for bit; positive depths power {!Revenue.shadow_costs}, all [R]
-    of them from this single solve.
+    of them from this single solve.  Rows of the diagonal that the solve
+    has not summed yet are summed on this first use and kept, so a
+    repeated call only walks the chains and allocates only its result;
+    the values never depend on which rows were read before.
     @raise Invalid_argument if [depth] lies outside [0 .. min N1 N2]. *)
 
 val log_g : t -> inputs:int -> outputs:int -> float
