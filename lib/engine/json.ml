@@ -9,35 +9,169 @@ type t =
 
 (* ---------- writer ---------- *)
 
-let escape_string b s =
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let add_string b s =
   Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
+  if String.exists needs_escape s then
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string b "\\\""
+        | '\\' -> Buffer.add_string b "\\\\"
+        | '\n' -> Buffer.add_string b "\\n"
+        | '\r' -> Buffer.add_string b "\\r"
+        | '\t' -> Buffer.add_string b "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char b c)
+      s
+  else Buffer.add_string b s;
   Buffer.add_char b '"'
+
+(* ---------- floats ---------- *)
 
 (* The C formatter [Printf.sprintf "%.17g"] ends up in, called directly:
    the same bytes without the format interpretation and its
    allocations. *)
 external format_float : string -> float -> string = "caml_format_float"
 
-let float_literal f =
-  (* RFC 8259 has no inf/nan; callers treat [null] as "not measured". *)
-  if not (Float.is_finite f) then "null"
+(* The general path: [%.17g], plus [.0] when the token would otherwise
+   read back as an int. *)
+let add_float_formatted b x =
+  let s = format_float "%.17g" x in
+  Buffer.add_string b s;
+  if not (String.exists (fun c -> c = '.' || c = 'e') s) then
+    Buffer.add_string b ".0"
+
+(* The fast path takes [fast_min < |x| < fast_limit].  There the decimal
+   exponent [e = floor (log10 |x|)] lies in [min_exponent, max_exponent],
+   so [|x| * 10^(16 - e)] scales by an exact double (10^1 .. 10^22) into
+   [10^16, 10^17): its integer part holds the 17 significant digits.
+   The literal 1e-6 is the double just below 10^-6, whose exponent is
+   -7, hence the strict lower bound. *)
+let fast_min = 1e-6
+let fast_limit = 1e16
+let min_exponent = -6
+let max_exponent = 15
+let digits_low = 10_000_000_000_000_000
+let digits_high = 100_000_000_000_000_000
+
+(* [%g] writes [d.ddde-XX] below this decimal exponent, fixed notation
+   from it up. *)
+let min_fixed_exponent = -4
+
+(* 10^k for k in [1, 22], each an exact double. *)
+let exact_pow10 = function
+  | 1 -> 1e1
+  | 2 -> 1e2
+  | 3 -> 1e3
+  | 4 -> 1e4
+  | 5 -> 1e5
+  | 6 -> 1e6
+  | 7 -> 1e7
+  | 8 -> 1e8
+  | 9 -> 1e9
+  | 10 -> 1e10
+  | 11 -> 1e11
+  | 12 -> 1e12
+  | 13 -> 1e13
+  | 14 -> 1e14
+  | 15 -> 1e15
+  | 16 -> 1e16
+  | 17 -> 1e17
+  | 18 -> 1e18
+  | 19 -> 1e19
+  | 20 -> 1e20
+  | 21 -> 1e21
+  | 22 -> 1e22
+  | k -> invalid_arg (Printf.sprintf "Json.exact_pow10: %d" k)
+
+(* [%.17g] of a finite [x] with [fast_min < |x| < fast_limit], as glibc
+   prints it: the exact product [|x| * 10^k = hi + lo] (an FMA recovers
+   [lo]) is rounded to an integer, ties to even. *)
+let add_float_fast b x =
+  let ax = Float.abs x in
+  let e =
+    ref
+      (Int.max min_exponent
+         (Int.min max_exponent (int_of_float (Float.floor (Float.log10 ax)))))
+  in
+  let digits = ref 0 and lo = ref 0. and floor_lo = ref 0. in
+  let settled = ref false in
+  (* log10 can miss by one next to a power of ten; step towards the
+     exponent that puts the scaled value in [10^16, 10^17). *)
+  while not !settled do
+    let scale = exact_pow10 (16 - !e) in
+    let hi = ax *. scale in
+    lo := Float.fma ax scale (-.hi);
+    floor_lo := Float.floor !lo;
+    (* [hi] is an integer (it is at least 10^16 > 2^53), so
+       [floor (hi + lo) = hi + floor lo]. *)
+    digits := int_of_float hi + int_of_float !floor_lo;
+    if !digits < digits_low then decr e
+    else if !digits >= digits_high then incr e
+    else settled := true
+  done;
+  let half = !floor_lo +. 0.5 in
+  (* lint: disable=R7 — an exact tie rounds to even, as glibc does *)
+  if !lo > half || (Float.equal !lo half && !digits land 1 = 1) then
+    incr digits;
+  if !digits = digits_high then begin
+    digits := digits_low;
+    incr e
+  end;
+  (* Strip trailing zeros, then spell the [n] digits left. *)
+  let n = ref 17 in
+  while !digits mod 10 = 0 do
+    digits := !digits / 10;
+    decr n
+  done;
+  let n = !n and e = !e in
+  let text = Bytes.create n in
+  for i = n - 1 downto 0 do
+    Bytes.unsafe_set text i (Char.unsafe_chr (48 + (!digits mod 10)));
+    digits := !digits / 10
+  done;
+  if x < 0. then Buffer.add_char b '-';
+  if e < min_fixed_exponent then begin
+    (* d[.ddd]e-0X: here e is -5 or -6. *)
+    Buffer.add_char b (Bytes.get text 0);
+    if n > 1 then begin
+      Buffer.add_char b '.';
+      Buffer.add_subbytes b text 1 (n - 1)
+    end;
+    Buffer.add_string b "e-0";
+    Buffer.add_char b (Char.unsafe_chr (48 - e))
+  end
+  else if e < 0 then begin
+    Buffer.add_string b "0.";
+    for _ = 2 to -e do
+      Buffer.add_char b '0'
+    done;
+    Buffer.add_subbytes b text 0 n
+  end
+  else if n <= e + 1 then begin
+    (* Integral: the digits, the zeros they stand for, and [.0]. *)
+    Buffer.add_subbytes b text 0 n;
+    for _ = n to e do
+      Buffer.add_char b '0'
+    done;
+    Buffer.add_string b ".0"
+  end
   else begin
-    let s = format_float "%.17g" f in
-    (* Guarantee the token re-parses as a float, not an int. *)
-    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s
-    else s ^ ".0"
+    Buffer.add_subbytes b text 0 (e + 1);
+    Buffer.add_char b '.';
+    Buffer.add_subbytes b text (e + 1) (n - e - 1)
+  end
+
+let add_float b x =
+  (* RFC 8259 has no inf/nan; callers treat [null] as "not measured". *)
+  if not (Float.is_finite x) then Buffer.add_string b "null"
+  else begin
+    let ax = Float.abs x in
+    if ax > fast_min && ax < fast_limit then add_float_fast b x
+    else add_float_formatted b x
   end
 
 let rec write b = function
@@ -45,8 +179,8 @@ let rec write b = function
   | Bool true -> Buffer.add_string b "true"
   | Bool false -> Buffer.add_string b "false"
   | Int i -> Buffer.add_string b (string_of_int i)
-  | Float f -> Buffer.add_string b (float_literal f)
-  | String s -> escape_string b s
+  | Float f -> add_float b f
+  | String s -> add_string b s
   | List items ->
       Buffer.add_char b '[';
       List.iteri
@@ -60,7 +194,7 @@ let rec write b = function
       List.iteri
         (fun i (key, value) ->
           if i > 0 then Buffer.add_char b ',';
-          escape_string b key;
+          add_string b key;
           Buffer.add_char b ':';
           write b value)
         fields;
@@ -91,7 +225,7 @@ let rec pp ppf = function
           if i > 0 then Format.fprintf ppf ",";
           Format.fprintf ppf "@,%s: %a"
             (let b = Buffer.create 16 in
-             escape_string b key;
+             add_string b key;
              Buffer.contents b)
             pp value)
         fields;

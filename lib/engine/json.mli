@@ -19,6 +19,21 @@ type t =
 val to_string : t -> string
 (** Compact single-line rendering. *)
 
+val write : Buffer.t -> t -> unit
+(** [write b json] appends {!to_string}'s rendering of [json] to [b]. *)
+
+val add_string : Buffer.t -> string -> unit
+(** [add_string b s] appends [s] as a quoted JSON string: quote,
+    backslash and control characters escaped, every other byte as is. *)
+
+val add_float : Buffer.t -> float -> unit
+(** [add_float b x] appends the token {!to_string} writes for [Float x]:
+    C's [%.17g] (17 significant digits, so every double reads back
+    bit for bit), with [.0] appended when that text has neither a [.]
+    nor an [e], and [null] for a non-finite [x].  Values with
+    [1e-6 < |x| < 1e16] take an exact integer path, several times faster
+    than the C formatter; the rest go through it. *)
+
 val pp : Format.formatter -> t -> unit
 (** Indented rendering (2-space), suitable for checked-in snapshots. *)
 

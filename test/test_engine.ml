@@ -781,14 +781,53 @@ let reference_float_literal f =
 let float_writer_matches f =
   String.equal (Json.to_string (Json.Float f)) (reference_float_literal f)
 
+(* The writer's token reads back as the same double, bit for bit. *)
+let float_writer_roundtrips f =
+  (not (Float.is_finite f))
+  || Int64.equal (Int64.bits_of_float f)
+       (Int64.bits_of_float (float_of_string (Json.to_string (Json.Float f))))
+
+let ulp_neighbours f ~ulps =
+  List.init ((2 * ulps) + 1) (fun i ->
+      Int64.float_of_bits
+        (Int64.add (Int64.bits_of_float f) (Int64.of_int (i - ulps))))
+
+(* Exact ties of the 17th significant digit, where %.17g rounds half to
+   even.  Above 1: [10^(16-j) + m / 2^(j+1)] with [m] odd scales by
+   [10^j] to [10^16 + m 5^j / 2].  Below 1: [q / 2^(k+1)] with [q] odd
+   and [q 5^k] in [2 10^16, 2 10^17) scales by [10^k] to [q 5^k / 2]. *)
+let exact_ties =
+  let above =
+    List.concat_map
+      (fun j ->
+        List.map
+          (fun m ->
+            (10. ** float_of_int (16 - j)) +. (float_of_int m /. Float.ldexp 1. (j + 1)))
+          [ 1; 3; 5; 7; 99; 12345 ])
+      (List.init 16 (fun j -> j + 1))
+  and below =
+    List.concat_map
+      (fun k ->
+        let five_k = 5. ** float_of_int k in
+        let low = Float.to_int (Float.ceil (2e16 /. five_k)) lor 1 in
+        List.filter_map
+          (fun q ->
+            if float_of_int q *. five_k < 2e17 then
+              Some (float_of_int q /. Float.ldexp 1. (k + 1))
+            else None)
+          [ low; low + 2; low + 4; low + 1000; 3 * low; 9 * low ])
+      [ 17; 18; 19; 20; 21; 22 ]
+  in
+  above @ below
+
 let test_json_float_writer_edges () =
   let two_53 = Float.ldexp 1. 53 in
-  List.iter
-    (fun f ->
-      if not (float_writer_matches f) then
-        Alcotest.failf "float writer: %S, expected %S"
-          (Json.to_string (Json.Float f))
-          (reference_float_literal f))
+  let powers_of_ten =
+    List.concat_map
+      (fun k -> ulp_neighbours (10. ** float_of_int k) ~ulps:50)
+      (List.init 25 (fun i -> i - 7))
+  in
+  let fixed =
     [
       0.; -0.; Int64.float_of_bits 1L; -.Int64.float_of_bits 1L;
       Int64.float_of_bits 0x000F_FFFF_FFFF_FFFFL; Float.min_float;
@@ -796,13 +835,53 @@ let test_json_float_writer_edges () =
       two_53 -. 1.; two_53; two_53 +. 1.; two_53 +. 2.;
       (* 2^-25 has exactly 18 significant digits: %.17g rounds a tie. *)
       Float.ldexp 1. (-25); Float.infinity; Float.neg_infinity; Float.nan;
+      (* Subnormals. *)
+      Float.ldexp 1. (-1074); Float.ldexp 3. (-1070); -.Float.ldexp 5. (-1050);
+      (* Round-ups that carry into a new decade. *)
+      0.99999999999999989; 9.9999999999999982; 9999999999999998.;
+      0.000099999999999999991; 1.0; 1.5; 100.; 123456789.;
+    ]
+  in
+  (* Both edges of the fast range, 1e-6 and 1e16, and their negatives. *)
+  let range_edges =
+    List.concat_map
+      (fun f -> ulp_neighbours f ~ulps:3 @ ulp_neighbours (-.f) ~ulps:3)
+      [ 1e-6; 1e16; 1e-5; 1e-4 ]
+  in
+  List.iter
+    (fun f ->
+      if not (float_writer_matches f && float_writer_roundtrips f) then
+        Alcotest.failf "float writer: %h gives %S, expected %S" f
+          (Json.to_string (Json.Float f))
+          (reference_float_literal f))
+    (fixed @ powers_of_ten @ range_edges @ exact_ties
+    @ List.map Float.neg exact_ties);
+  List.iter
+    (fun f ->
+      check_bool "non-finite is null" true
+        (String.equal (Json.to_string (Json.Float f)) "null"))
+    [ Float.infinity; Float.neg_infinity; Float.nan; -.Float.nan ]
+
+(* Log-uniform magnitudes of either sign over 1e-9 .. 1e19 (the fast
+   range and both sides of it), uniform [0, 1], and raw bit patterns. *)
+let float_draw =
+  let open QCheck2.Gen in
+  oneof
+    [
+      map2
+        (fun e negative ->
+          let f = 10. ** e in
+          if negative then -.f else f)
+        (float_range (-9.) 19.) bool;
+      float_range 0. 1.;
+      map Int64.float_of_bits int64;
     ]
 
 let float_writer_prop =
   QCheck2.Test.make ~name:"json: float writer matches sprintf %.17g"
-    ~count:100_000 ~print:(fun bits -> Printf.sprintf "0x%016Lx" bits)
-    QCheck2.Gen.int64
-    (fun bits -> float_writer_matches (Int64.float_of_bits bits))
+    ~count:1_000_000 ~print:(fun f -> Printf.sprintf "%h" f)
+    float_draw
+    (fun f -> float_writer_matches f && float_writer_roundtrips f)
 
 let test_json_rejects_malformed () =
   List.iter
