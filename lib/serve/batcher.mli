@@ -16,8 +16,9 @@
     loop ([Server.run]) calls [execute] inline, one batch at a time. *)
 
 type outcome = {
-  responses : Crossbar_engine.Json.t array;
-      (** element [i] answers request [i] *)
+  responses : Protocol.response array;
+      (** element [i] answers request [i], as the handler computed it;
+          {!Protocol.write_response} puts it on the wire *)
   shutdown : bool;  (** a [shutdown] request was present *)
 }
 

@@ -275,12 +275,185 @@ let measures_to_json (m : Measures.t) =
                 m.Measures.per_class)) );
     ]
 
-let ok_response ~id ~op fields =
-  Json.Assoc
-    ([ ("id", id); ("ok", Json.Bool true); ("op", Json.String op) ] @ fields)
+type solved = {
+  tree : string;
+  from_hot : bool;
+  tree_combines : int;
+  banded_combines : int;
+  log_g : float;
+  measures : Measures.t;
+}
 
-let error_response ~id message =
-  Json.Assoc
-    [ ("id", id); ("ok", Json.Bool false); ("error", Json.String message) ]
+type response =
+  | Solve_ok of { id : Json.t; solved : solved }
+  | Delta_ok of { id : Json.t; solved : solved; changed_classes : int list }
+  | Blocking_ok of {
+      id : Json.t;
+      tree : string;
+      classes : Measures.per_class array;
+    }
+  | Shadow_costs_ok of {
+      id : Json.t;
+      tree : string;
+      revenue : float;
+      shadow_costs : float array;
+    }
+  | Admit_ok of {
+      id : Json.t;
+      tree : string;
+      class_index : int;
+      admit : bool;
+      weight : float;
+      shadow_cost : float;
+      net_gain : float;
+    }
+  | Stats_ok of { id : Json.t; fields : (string * Json.t) list }
+  | Shutdown_ok of { id : Json.t }
+  | Failed of { id : Json.t; message : string }
 
-let response_to_line = Json.to_string
+let error_response ~id message = Failed { id; message }
+
+(* The field writer: key text as literals, values straight into [b]. *)
+
+let add_bool b v = Buffer.add_string b (if v then "true" else "false")
+let add_int b i = Buffer.add_string b (string_of_int i)
+
+let add_array add b items =
+  Buffer.add_char b '[';
+  Array.iteri
+    (fun i item ->
+      if i > 0 then Buffer.add_char b ',';
+      add b item)
+    items;
+  Buffer.add_char b ']'
+
+(* [{"id":id,"ok":true,"op":op] — the caller closes the object. *)
+let add_ok_head b ~id ~op =
+  Buffer.add_string b "{\"id\":";
+  Json.write b id;
+  Buffer.add_string b ",\"ok\":true,\"op\":\"";
+  Buffer.add_string b op;
+  Buffer.add_char b '"'
+
+let add_per_class b (c : Measures.per_class) =
+  Buffer.add_string b "{\"name\":";
+  Json.add_string b c.Measures.name;
+  Buffer.add_string b ",\"bandwidth\":";
+  add_int b c.Measures.bandwidth;
+  Buffer.add_string b ",\"offered_load\":";
+  Json.add_float b c.Measures.offered_load;
+  Buffer.add_string b ",\"non_blocking\":";
+  Json.add_float b c.Measures.non_blocking;
+  Buffer.add_string b ",\"blocking\":";
+  Json.add_float b c.Measures.blocking;
+  Buffer.add_string b ",\"concurrency\":";
+  Json.add_float b c.Measures.concurrency;
+  Buffer.add_string b ",\"throughput\":";
+  Json.add_float b c.Measures.throughput;
+  Buffer.add_char b '}'
+
+let add_measures b (m : Measures.t) =
+  Buffer.add_string b "{\"busy_ports\":";
+  Json.add_float b m.Measures.busy_ports;
+  Buffer.add_string b ",\"input_utilization\":";
+  Json.add_float b m.Measures.input_utilization;
+  Buffer.add_string b ",\"output_utilization\":";
+  Json.add_float b m.Measures.output_utilization;
+  Buffer.add_string b ",\"per_class\":";
+  add_array add_per_class b m.Measures.per_class;
+  Buffer.add_char b '}'
+
+let add_solved b s =
+  Buffer.add_string b ",\"tree\":";
+  Json.add_string b s.tree;
+  Buffer.add_string b ",\"from_hot\":";
+  add_bool b s.from_hot;
+  Buffer.add_string b ",\"tree_combines\":";
+  add_int b s.tree_combines;
+  Buffer.add_string b ",\"banded_combines\":";
+  add_int b s.banded_combines;
+  Buffer.add_string b ",\"log_g\":";
+  Json.add_float b s.log_g;
+  Buffer.add_string b ",\"measures\":";
+  add_measures b s.measures
+
+let add_blocking_class b (c : Measures.per_class) =
+  Buffer.add_string b "{\"name\":";
+  Json.add_string b c.Measures.name;
+  Buffer.add_string b ",\"blocking\":";
+  Json.add_float b c.Measures.blocking;
+  Buffer.add_string b ",\"non_blocking\":";
+  Json.add_float b c.Measures.non_blocking;
+  Buffer.add_char b '}'
+
+let add_tree b tree =
+  Buffer.add_string b ",\"tree\":";
+  Json.add_string b tree
+
+let write_response b = function
+  | Solve_ok { id; solved } ->
+      add_ok_head b ~id ~op:"solve";
+      add_solved b solved;
+      Buffer.add_char b '}'
+  | Delta_ok { id; solved; changed_classes } ->
+      add_ok_head b ~id ~op:"delta";
+      add_solved b solved;
+      Buffer.add_string b ",\"changed_classes\":[";
+      List.iteri
+        (fun i index ->
+          if i > 0 then Buffer.add_char b ',';
+          add_int b index)
+        changed_classes;
+      Buffer.add_string b "]}"
+  | Blocking_ok { id; tree; classes } ->
+      add_ok_head b ~id ~op:"blocking";
+      add_tree b tree;
+      Buffer.add_string b ",\"classes\":";
+      add_array add_blocking_class b classes;
+      Buffer.add_char b '}'
+  | Shadow_costs_ok { id; tree; revenue; shadow_costs } ->
+      add_ok_head b ~id ~op:"shadow_costs";
+      add_tree b tree;
+      Buffer.add_string b ",\"revenue\":";
+      Json.add_float b revenue;
+      Buffer.add_string b ",\"shadow_costs\":";
+      add_array Json.add_float b shadow_costs;
+      Buffer.add_char b '}'
+  | Admit_ok { id; tree; class_index; admit; weight; shadow_cost; net_gain } ->
+      add_ok_head b ~id ~op:"admit";
+      add_tree b tree;
+      Buffer.add_string b ",\"class\":";
+      add_int b class_index;
+      Buffer.add_string b ",\"admit\":";
+      add_bool b admit;
+      Buffer.add_string b ",\"weight\":";
+      Json.add_float b weight;
+      Buffer.add_string b ",\"shadow_cost\":";
+      Json.add_float b shadow_cost;
+      Buffer.add_string b ",\"net_gain\":";
+      Json.add_float b net_gain;
+      Buffer.add_char b '}'
+  | Stats_ok { id; fields } ->
+      add_ok_head b ~id ~op:"stats";
+      List.iter
+        (fun (key, value) ->
+          Buffer.add_char b ',';
+          Json.add_string b key;
+          Buffer.add_char b ':';
+          Json.write b value)
+        fields;
+      Buffer.add_char b '}'
+  | Shutdown_ok { id } ->
+      add_ok_head b ~id ~op:"shutdown";
+      Buffer.add_char b '}'
+  | Failed { id; message } ->
+      Buffer.add_string b "{\"id\":";
+      Json.write b id;
+      Buffer.add_string b ",\"ok\":false,\"error\":";
+      Json.add_string b message;
+      Buffer.add_char b '}'
+
+let response_to_line response =
+  let b = Buffer.create 256 in
+  write_response b response;
+  Buffer.contents b

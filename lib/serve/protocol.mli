@@ -12,8 +12,8 @@
     ([blocking], [shadow_costs], [admit]) without any solving at all. *)
 
 module Json = Crossbar_engine.Json
-(** Transparent alias: responses are plain {!Crossbar_engine.Json}
-    documents. *)
+(** Transparent alias: requests parse into {!Crossbar_engine.Json}
+    documents, and ids are echoed as one. *)
 
 type change = {
   class_index : int;
@@ -67,18 +67,64 @@ val model_of_json : Json.t -> (Crossbar.Model.t, string) result
 (** Inverse of {!model_to_json}; the error names the offending field. *)
 
 val measures_to_json : Crossbar.Measures.t -> Json.t
-(** Per-class measures as the [measures] block of a solve/delta
-    response. *)
+(** The [measures] block of a solve/delta response as a document:
+    {!write_response} writes the same fields in the same order. *)
 
-val ok_response : id:Json.t -> op:string -> (string * Json.t) list -> Json.t
-(** [{"id":id,"ok":true,"op":op,...fields}]. *)
+type solved = {
+  tree : string;
+  from_hot : bool;  (** the solve rode the tree already hot under [tree] *)
+  tree_combines : int;
+  banded_combines : int;
+  log_g : float;  (** [log G(N)] *)
+  measures : Crossbar.Measures.t;
+}
+(** What a [solve] or [delta] response reports of the tree it left hot. *)
 
-val error_response : id:Json.t -> string -> Json.t
-(** [{"id":id,"ok":false,"error":message}].  Parse failures use
-    [Json.Null] as the id. *)
+(** A response, as the handler computed it: one case per op, written
+    as [{"id":id,"ok":true,"op":op,...}], and [Failed], written as
+    [{"id":id,"ok":false,"error":message}].  {!write_response} puts the
+    fields on the wire in the order docs/SERVE.md lists them. *)
+type response =
+  | Solve_ok of { id : Json.t; solved : solved }
+  | Delta_ok of { id : Json.t; solved : solved; changed_classes : int list }
+      (** [changed_classes]: the classes whose rates the delta moved *)
+  | Blocking_ok of {
+      id : Json.t;
+      tree : string;
+      classes : Crossbar.Measures.per_class array;
+          (** written as name, blocking and non-blocking per class *)
+    }
+  | Shadow_costs_ok of {
+      id : Json.t;
+      tree : string;
+      revenue : float;
+      shadow_costs : float array;
+    }
+  | Admit_ok of {
+      id : Json.t;
+      tree : string;
+      class_index : int;
+      admit : bool;
+      weight : float;
+      shadow_cost : float;
+      net_gain : float;
+    }
+  | Stats_ok of { id : Json.t; fields : (string * Json.t) list }
+      (** telemetry and registry snapshots, written as they come *)
+  | Shutdown_ok of { id : Json.t }
+  | Failed of { id : Json.t; message : string }
 
-val response_to_line : Json.t -> string
-(** Compact one-line rendering of a response. *)
+val error_response : id:Json.t -> string -> response
+(** [Failed { id; message }].  Parse failures use [Json.Null] as the
+    id. *)
+
+val write_response : Buffer.t -> response -> unit
+(** Append the response's one-line JSON text (no newline) to the
+    buffer.  Floats go through {!Crossbar_engine.Json.add_float}, so
+    they read back bit for bit, and non-finite values are [null]. *)
+
+val response_to_line : response -> string
+(** {!write_response} into a fresh buffer. *)
 
 val op_name : query -> string
 (** The wire [op] tag: ["solve"], ["delta"], ... *)

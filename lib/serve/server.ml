@@ -64,22 +64,36 @@ module Lines = struct
 end
 
 (* One input stream: the primary input or an accepted socket client.
-   [lines] holds the partial line between reads. *)
+   [lines] holds the partial line between reads.  [chunk] (every read
+   lands in it) and [reply] (each response is written into it, cleared
+   in between) are allocated once per connection. *)
 type conn = {
   fd : Unix.file_descr;
   out : Unix.file_descr;
   lines : Lines.t;
+  chunk : Bytes.t;
+  reply : Buffer.t;
   mutable open_ : bool;
   primary : bool;  (** the input/output pair given to [run] *)
 }
 
+let connection ~fd ~out ~primary =
+  {
+    fd;
+    out;
+    lines = Lines.create ();
+    chunk = Bytes.create 65536;
+    reply = Buffer.create 4096;
+    open_ = true;
+    primary;
+  }
+
 type item = Request of Protocol.request | Malformed of Json.t * string
 
-(* Write the whole string; false if the peer is gone.  A client that
+(* Write all of [bytes]; false if the peer is gone.  A client that
    disconnects mid-response is its own problem: the daemon drops the
    connection and keeps serving everyone else. *)
-let write_all fd text =
-  let bytes = Bytes.of_string text in
+let write_all fd bytes =
   let total = Bytes.length bytes in
   let rec loop offset =
     if offset >= total then true
@@ -94,9 +108,14 @@ let write_all fd text =
   in
   loop 0
 
-let write_response conn response =
-  if not (write_all conn.out (Protocol.response_to_line response ^ "\n")) then
-    conn.open_ <- false
+(* One write per response, as soon as it is ready: the client reads
+   each answer while the rest of the batch is written. *)
+let send conn response =
+  let reply = conn.reply in
+  Buffer.clear reply;
+  Protocol.write_response reply response;
+  Buffer.add_char reply '\n';
+  if not (write_all conn.out (Buffer.to_bytes reply)) then conn.open_ <- false
 
 let parse_line line =
   match Protocol.request_of_line line with
@@ -123,7 +142,7 @@ let item_of_line = function
    On EOF the remaining partial line (a final unterminated line) is parsed
    too, and the connection is marked closed. *)
 let read_available conn =
-  let chunk = Bytes.create 65536 in
+  let chunk = conn.chunk in
   match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
   | 0 ->
       conn.open_ <- false;
@@ -166,15 +185,7 @@ let run ?(config = default_config) ~input ~output () =
   let listen =
     Option.map (fun path -> (listen_socket path, path)) config.socket_path
   in
-  let primary =
-    {
-      fd = input;
-      out = output;
-      lines = Lines.create ();
-      open_ = true;
-      primary = true;
-    }
-  in
+  let primary = connection ~fd:input ~out:output ~primary:true in
   let conns = ref [ primary ] in
   let pending : (conn * item) Queue.t = Queue.create () in
   (* Serve the oldest [batch_limit] pending items as one batch, on this
@@ -205,24 +216,14 @@ let run ?(config = default_config) ~input ~output () =
               incr next;
               outcome.Batcher.responses.(!next - 1)
         in
-        write_response conn response)
+        send conn response)
       batch;
     outcome.Batcher.shutdown
   in
   let accept_client fd =
     match Unix.accept fd with
     | client, _ ->
-        conns :=
-          !conns
-          @ [
-              {
-                fd = client;
-                out = client;
-                lines = Lines.create ();
-                open_ = true;
-                primary = false;
-              };
-            ]
+        conns := !conns @ [ connection ~fd:client ~out:client ~primary:false ]
     | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ()
   in
   (* Runs exactly once, as the [Fun.protect] finalizer around the loop:
