@@ -231,6 +231,126 @@ let rec pp ppf = function
         fields;
       Format.fprintf ppf "@]@,}"
 
+(* ---------- numbers ---------- *)
+
+let is_number_char = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
+let number_end text start =
+  let n = String.length text in
+  let i = ref start in
+  while !i < n && is_number_char (String.unsafe_get text !i) do
+    incr i
+  done;
+  !i
+
+let is_digit c = c >= '0' && c <= '9'
+
+(* Clinger's fast path: an integer mantissa below 2^53 is an exact
+   double, and so is 10^k for |k| <= 22, so one IEEE multiply or divide
+   rounds [mantissa * 10^k] correctly, exactly as strtod does. *)
+let max_fast_mantissa = 1 lsl 53
+let max_fast_exponent = 22
+
+(* Significant digits (leading zeros aside) that an int holds exactly:
+   below 10^18, so a sign and this many digits never overflow. *)
+let max_exact_digits = 18
+
+(* Exponent digits saturate here: far past any exponent a double can
+   carry, however many fraction digits the token has. *)
+let exponent_cap = 1_000_000_000
+
+(* The general path, through a copy of the token: [Int] when it has no
+   [.], [e] or [E] and [int_of_string_opt] takes it, otherwise [Float]
+   when [float_of_string_opt] does. *)
+let number_of_copy text start stop =
+  let token = String.sub text start (stop - start) in
+  let as_float () =
+    match float_of_string_opt token with
+    | Some f -> Some (Float f)
+    | None -> None
+  in
+  if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') token then
+    as_float ()
+  else
+    match int_of_string_opt token with
+    | Some i -> Some (Int i)
+    | None -> as_float ()
+
+(* One pass over the token.  When it has strict decimal form,
+   [sign? (digits [. digits*] | . digits) ([eE] sign? digits)?], with
+   at most [max_exact_digits] significant digits, the int or the double
+   comes straight from its digits (the double only on Clinger's fast
+   path); everything else goes through [number_of_copy]. *)
+let number text start stop =
+  let negative = stop > start && String.unsafe_get text start = '-' in
+  let i =
+    ref
+      (if stop > start && (negative || String.unsafe_get text start = '+')
+       then start + 1
+       else start)
+  in
+  let value = ref 0 and digits = ref 0 and significant = ref 0 in
+  let fraction = ref 0 and point = ref false and in_mantissa = ref true in
+  while !in_mantissa && !i < stop do
+    let c = String.unsafe_get text !i in
+    if is_digit c then begin
+      incr digits;
+      if !point then incr fraction;
+      if !value > 0 || c <> '0' then begin
+        incr significant;
+        if !significant <= max_exact_digits then
+          value := (!value * 10) + (Char.code c - 48)
+      end;
+      incr i
+    end
+    else if c = '.' && not !point then begin
+      point := true;
+      incr i
+    end
+    else in_mantissa := false
+  done;
+  let exponent = ref 0 and well_formed = ref (!digits > 0) in
+  let has_exponent = !well_formed && !i < stop in
+  if has_exponent then begin
+    (match String.unsafe_get text !i with
+    | 'e' | 'E' -> incr i
+    | _ -> well_formed := false);
+    let exponent_negative = !i < stop && String.unsafe_get text !i = '-' in
+    if !i < stop && (exponent_negative || String.unsafe_get text !i = '+')
+    then incr i;
+    if !i >= stop then well_formed := false;
+    while !well_formed && !i < stop do
+      let c = String.unsafe_get text !i in
+      if is_digit c then begin
+        if !exponent < exponent_cap then
+          exponent := (!exponent * 10) + (Char.code c - 48);
+        incr i
+      end
+      else well_formed := false
+    done;
+    if exponent_negative then exponent := - !exponent
+  end;
+  let exact = !well_formed && !significant <= max_exact_digits in
+  let scale = !exponent - !fraction in
+  if exact && not (!point || has_exponent) then
+    Some (Int (if negative then - !value else !value))
+  else if
+    exact && !value < max_fast_mantissa
+    && scale >= -max_fast_exponent
+    && scale <= max_fast_exponent
+  then begin
+    let m = float_of_int !value in
+    let magnitude =
+      if scale = 0 then m
+      else if scale > 0 then m *. exact_pow10 scale
+      else m /. exact_pow10 (-scale)
+    in
+    Some (Float (if negative then -.magnitude else magnitude))
+  end
+  else number_of_copy text start stop
+
 (* ---------- parser ---------- *)
 
 exception Malformed of string
@@ -314,29 +434,14 @@ let of_string text =
   in
   let parse_number () =
     let start = !pos in
-    let is_number_char c =
-      (c >= '0' && c <= '9')
-      || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-    in
-    while (match peek () with Some c -> is_number_char c | None -> false) do
-      advance ()
-    done;
-    let token = String.sub text start (!pos - start) in
-    if token = "" then fail "expected a value at offset %d" start;
-    let fractional =
-      String.exists (fun c -> c = '.' || c = 'e' || c = 'E') token
-    in
-    if fractional then
-      match float_of_string_opt token with
-      | Some f -> Float f
-      | None -> fail "malformed number %S at offset %d" token start
-    else
-      match int_of_string_opt token with
-      | Some i -> Int i
-      | None -> (
-          match float_of_string_opt token with
-          | Some f -> Float f
-          | None -> fail "malformed number %S at offset %d" token start)
+    pos := number_end text start;
+    if !pos = start then fail "expected a value at offset %d" start;
+    match number text start !pos with
+    | Some value -> value
+    | None ->
+        fail "malformed number %S at offset %d"
+          (String.sub text start (!pos - start))
+          start
   in
   let rec parse_value () =
     skip_ws ();

@@ -118,18 +118,9 @@ let send conn response =
   if not (write_all conn.out (Buffer.to_bytes reply)) then conn.open_ <- false
 
 let parse_line line =
-  match Protocol.request_of_line line with
+  match Protocol.read_request line with
   | Ok request -> Request request
-  | Error message ->
-      (* Salvage the id when the line was at least well-formed JSON, so
-         the client can correlate the error with its request. *)
-      let id =
-        match Json.of_string line with
-        | Ok json -> (
-            match Json.member "id" json with Some id -> id | None -> Json.Null)
-        | Error _ -> Json.Null
-      in
-      Malformed (id, message)
+  | Error (id, message) -> Malformed (id, message)
 
 let overlong_message =
   Printf.sprintf "request line longer than %d bytes" Lines.max_bytes

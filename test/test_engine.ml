@@ -883,6 +883,154 @@ let float_writer_prop =
     float_draw
     (fun f -> float_writer_matches f && float_writer_roundtrips f)
 
+(* The number grammar [Json.of_string] had before it shared
+   [Json.number], restated on the standard library: a token with no
+   [.], [e] or [E] is an [Int] when [int_of_string_opt] takes it, and
+   anything else a [Float] when [float_of_string_opt] does. *)
+let reference_number token =
+  let as_float () =
+    Option.map (fun f -> Json.Float f) (float_of_string_opt token)
+  in
+  if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') token then
+    as_float ()
+  else
+    match int_of_string_opt token with
+    | Some i -> Some (Json.Int i)
+    | None -> as_float ()
+
+let show_number = function
+  | Some (Json.Int i) -> Printf.sprintf "Int %d" i
+  | Some (Json.Float f) -> Printf.sprintf "Float %h" f
+  | Some other -> Json.to_string other
+  | None -> "None"
+
+(* Equal ints, or doubles equal bit for bit (sign of zero included). *)
+let same_number a b =
+  match (a, b) with
+  | Some (Json.Int i), Some (Json.Int j) -> i = j
+  | Some (Json.Float f), Some (Json.Float g) ->
+      Int64.equal (Int64.bits_of_float f) (Int64.bits_of_float g)
+  | None, None -> true
+  | _ -> false
+
+(* [token] read in the middle of a line, by the number reader and by
+   [Json.of_string], against the reference. *)
+let number_matches token =
+  let text = "[ " ^ token ^ "]" in
+  let stop = 2 + String.length token in
+  let expected = reference_number token in
+  Json.number_end text 2 = stop
+  && same_number (Json.number text 2 stop) expected
+  &&
+  match (Json.of_string token, expected) with
+  | Ok value, Some _ -> same_number (Some value) expected
+  | Error _, None -> true
+  | Ok _, None | Error _, Some _ -> false
+
+let test_json_number_cases () =
+  let zeros k = String.make k '0' in
+  let two_53 = 1 lsl 53 in
+  let cases =
+    [
+      "-0"; "-0.0"; "0"; "0.0"; "0e0"; "-0e0"; "0e-30"; ".5"; "-.5"; "+.5";
+      "1."; "1.e5"; "+1"; "-1"; "01"; "007"; "-007.50"; "1E5"; "1e+5";
+      "1e-5"; "2.5E-3"; string_of_int (two_53 - 1); string_of_int two_53;
+      string_of_int (two_53 + 1); string_of_int (two_53 - 1) ^ ".0";
+      string_of_int two_53 ^ ".0"; string_of_int (two_53 + 1) ^ ".0";
+      (* Mantissas at the 2^53 bound, scaled: one past it no longer is an
+         exact double, so the fast path must not take it. *)
+      string_of_int (two_53 - 1) ^ "e1"; string_of_int (two_53 + 1) ^ "e1";
+      string_of_int (two_53 + 1) ^ "e-1"; string_of_int (two_53 + 3) ^ "e5";
+      string_of_int (two_53 + 1) ^ "e-22"; string_of_int (two_53 - 1) ^ "e-22";
+      "1e22"; "1e23"; "3e22"; "3e23"; "7e-22"; "7e-23"; "1e-22"; "1e-23";
+      "123456789012345"; "1234567890123456"; "12345678901234567";
+      "1.23456789012345"; "1.234567890123456"; "1.2345678901234567";
+      "0.123456789012345e-10"; "9999999999999999e22";
+      "0." ^ zeros 22 ^ "1"; "0." ^ zeros 23 ^ "1"; "3." ^ zeros 22 ^ "e22";
+      "1e400"; "-1e400"; "1e-400"; "1e99999999999999999999"; "0.1e-99999999999";
+      "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
+      "-4611686018427387905"; "123456789012345678"; "1234567890123456789";
+      "00000000000000000000001"; "-"; "+"; "."; "e5"; "1e"; "1e+"; "1e-";
+      "1-2"; "1+2"; "--1"; "+-1"; "1.2.3"; "1e5e5"; "1e5.0"; "..5"; "-e1";
+    ]
+  in
+  List.iter
+    (fun token ->
+      if not (number_matches token) then
+        Alcotest.failf "number %S: read %s, expected %s" token
+          (show_number
+             (Json.number ("[ " ^ token ^ "]") 2 (2 + String.length token)))
+          (show_number (reference_number token)))
+    cases;
+  check_int "number_end stops at a non-number byte" 4
+    (Json.number_end "-1.5,2" 0);
+  check_int "number_end at a non-number byte" 0 (Json.number_end "x1" 0)
+
+(* Short decimals with exponents in -30..30, %.17g (and shorter) tokens
+   of random doubles, mantissas around 2^53, and ints, both signs. *)
+let number_token_gen =
+  let open QCheck2.Gen in
+  let sign = oneofl [ ""; "-"; "+" ] in
+  let exponent =
+    oneof
+      [
+        return "";
+        map3
+          (fun e s k -> Printf.sprintf "%s%s%d" e s k)
+          (oneofl [ "e"; "E" ]) (oneofl [ ""; "-"; "+" ]) (int_range 0 30);
+      ]
+  in
+  let short_decimal =
+    let* digits = string_size ~gen:(char_range '0' '9') (int_range 1 17) in
+    let* point = int_range 0 (String.length digits + 1) in
+    let mantissa =
+      if point > String.length digits then digits
+      else
+        String.sub digits 0 point ^ "."
+        ^ String.sub digits point (String.length digits - point)
+    in
+    map2 (fun s e -> s ^ mantissa ^ e) sign exponent
+  in
+  let printed_double =
+    let* f =
+      oneof
+        [
+          map Int64.float_of_bits int64;
+          map2
+            (fun e negative -> if negative then -.(10. ** e) else 10. ** e)
+            (float_range (-30.) 30.) bool;
+        ]
+    in
+    let* precision = oneofl [ 15; 16; 17 ] in
+    return (Printf.sprintf "%.*g" precision f)
+  in
+  let near_two_53 =
+    map3
+      (fun s k e -> Printf.sprintf "%s%d%s" s ((1 lsl 53) + k) e)
+      sign (int_range (-3) 3) exponent
+  in
+  let int_token =
+    map2
+      (fun s i -> s ^ string_of_int i)
+      sign
+      (oneof [ int_range (-1000) 1000; int; map (fun i -> i asr 20) int ])
+  in
+  frequency
+    [
+      (5, short_decimal); (3, printed_double); (1, near_two_53); (1, int_token);
+    ]
+
+let number_reader_prop =
+  QCheck2.Test.make ~name:"json: number reader matches the stdlib grammar"
+    ~count:1_000_000 ~print:(fun t -> t) number_token_gen
+    (fun token ->
+      (* A printed nan or infinity is not a number token. *)
+      (not
+         (String.for_all
+            (fun c -> (c >= '0' && c <= '9') || String.contains "+-.eE" c)
+            token))
+      || number_matches token)
+
 let test_json_rejects_malformed () =
   List.iter
     (fun text ->
@@ -1005,6 +1153,8 @@ let () =
           case "float fidelity" test_json_float_fidelity;
           case "float writer edge cases" test_json_float_writer_edges;
           qcheck float_writer_prop;
+          case "number reader fixed cases" test_json_number_cases;
+          qcheck number_reader_prop;
           case "rejects malformed" test_json_rejects_malformed;
           case "member" test_json_member;
         ] );
