@@ -9,8 +9,8 @@
    wall times), every error path, ids of every JSON kind, a class name
    with a quote and a control character, and floats on both sides of
    the float writer's fast range: an alpha near 1e-9, admit weights of
-   1e20 and of 1e400 (which parses to infinity and prints [null]),
-   whole-number weights and a negative net gain. *)
+   1e20, whole-number weights and a negative net gain.  Weights of 1e400
+   (which parses to infinity), 0 and -3 are refused. *)
 
 module Server = Crossbar_serve.Server
 
@@ -124,7 +124,8 @@ let conversation =
     shadow_costs "14" "b" "1,2";
     shadow_costs "15" "b" "1.0,0.25";
     admit "16" "b" 1 "1,0.25";
-    (* weights past the float writer's fast range, and a refused class *)
+    (* weights past the float writer's fast range, refused weights and a
+       refused class *)
     admit "17" "b" 0 "1e20,1";
     admit "18" "b" 0 "1e400,1";
     admit "19" "b" 1 "0,0";
