@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Smoke-test the crossbar_serve daemon: one query of every kind over
 # stdin/stdout, then (when python3 is available) the same mixed stream
-# through the Unix-domain socket.  Any ok:false response, missing
+# through the Unix-domain socket.  Round 1 also sends an admit with its
+# fields reordered, spaces and an unknown field (read by the direct
+# request reader) and a line with a bad op (read by the JSON parser,
+# which writes the error).  Any other ok:false response, missing
 # response, or hung daemon fails the script.
 #
 # Usage: scripts/serve_smoke.sh [path-to-crossbar_serve.exe] [output.jsonl]
@@ -35,25 +38,44 @@ fi
 MODEL='{"inputs":8,"outputs":8,"classes":[{"name":"voice","bandwidth":1,"alpha":0.5,"mu":1.0},{"name":"video","bandwidth":2,"alpha":0.3,"beta":0.1,"mu":0.5}]}'
 
 # ---- round 1: line protocol over stdin/stdout ----
-printf '%s\n' \
-  "{\"id\":1,\"op\":\"solve\",\"tree\":\"smoke\",\"model\":$MODEL}" \
-  '{"id":2,"op":"blocking","tree":"smoke"}' \
-  '{"id":3,"op":"delta","tree":"smoke","changes":[{"class":0,"alpha":0.6}]}' \
-  '{"id":4,"op":"shadow_costs","tree":"smoke","weights":[1.0,0.2]}' \
-  '{"id":5,"op":"admit","tree":"smoke","class":1,"weights":[1.0,0.2]}' \
-  '{"id":6,"op":"stats"}' \
-  '{"id":7,"op":"shutdown"}' \
-  | timeout 60 "$SERVE" --domains 2 > "$OUT"
+# The lines after stats follow a pause, so they reach the daemon in a
+# later batch: stats (which runs after its batch's tree queries) counts
+# only the five before it.
+{
+  printf '%s\n' \
+    "{\"id\":1,\"op\":\"solve\",\"tree\":\"smoke\",\"model\":$MODEL}" \
+    '{"id":2,"op":"blocking","tree":"smoke"}' \
+    '{"id":3,"op":"delta","tree":"smoke","changes":[{"class":0,"alpha":0.6}]}' \
+    '{"id":4,"op":"shadow_costs","tree":"smoke","weights":[1.0,0.2]}' \
+    '{"id":5,"op":"admit","tree":"smoke","class":1,"weights":[1.0,0.2]}' \
+    '{"id":6,"op":"stats"}'
+  sleep 1
+  printf '%s\n' \
+    '{ "weights": [1.0, 0.2], "x": [1, {"k": null}], "class": 1, "tree": "smoke", "op": "admit", "id": 8 }' \
+    '{"id":"bad-op","op":"nope","tree":"smoke"}' \
+    '{"id":7,"op":"shutdown"}'
+} | timeout 60 "$SERVE" --domains 2 > "$OUT"
 
 lines=$(wc -l < "$OUT")
-if [ "$lines" -ne 7 ]; then
-  echo "FATAL: expected 7 responses over stdin, got $lines" >&2
+if [ "$lines" -ne 9 ]; then
+  echo "FATAL: expected 9 responses over stdin, got $lines" >&2
   cat "$OUT" >&2
   exit 1
 fi
-if grep -q '"ok":false' "$OUT"; then
+# The bad op is the one refusal, and it carries its id back.
+if grep '"ok":false' "$OUT" | grep -qv '^{"id":"bad-op","ok":false,'; then
   echo "FATAL: a smoke query failed:" >&2
   grep '"ok":false' "$OUT" >&2
+  exit 1
+fi
+if ! grep -q '^{"id":"bad-op","ok":false,"error":"unknown op \\"nope\\""}$' "$OUT"; then
+  echo "FATAL: the bad op was not refused with its id:" >&2
+  cat "$OUT" >&2
+  exit 1
+fi
+if ! grep -q '^{"id":8,"ok":true,"op":"admit","tree":"smoke","class":1,' "$OUT"; then
+  echo "FATAL: the reordered admit (id 8) was not answered ok:true:" >&2
+  cat "$OUT" >&2
   exit 1
 fi
 # The stats response (id 6) follows the five tree queries: its telemetry
@@ -94,7 +116,7 @@ else
     exit 1
   fi
 fi
-echo "stdin round: 7/7 ok"
+echo "stdin round: 9/9 answered, 8 ok and the bad op refused"
 
 # ---- round 2: same stream through the Unix-domain socket ----
 if ! command -v python3 >/dev/null 2>&1; then
