@@ -10,14 +10,15 @@ let usage =
   "usage: crossbar_lint [options] [PATH ...]\n\
    \n\
    Parses every .ml/.mli under the given paths (default: lib bin\n\
-   examples) with compiler-libs and enforces the R1-R6 invariants\n\
-   documented in docs/LINT.md.  With --typed, additionally reads the\n\
-   .cmt artifacts dune produced and runs the typed rules R7-R13\n\
-   (R11-R13 close the per-function effect summaries over the call\n\
-   graph: hot-path allocations, escaping raises, float domains).\n\
+   examples) with compiler-libs and enforces the untyped rules R1, R2\n\
+   and R4-R6 documented in docs/LINT.md.  With --typed, additionally\n\
+   reads the .cmt artifacts dune produced and runs the typed rules\n\
+   R7-R10, R12 and R13 (R12 and R13 close the per-function effect\n\
+   summaries over the call graph: escaping raises, float domains).\n\
+   R3 and R11 are retired ids.\n\
    \n\
    options:\n\
-   \  --typed         run the Typedtree stage (R7-R13) over .cmt artifacts\n\
+   \  --typed         run the Typedtree stage (R7 and up) over .cmt artifacts\n\
    \  --cmt-root DIR  where to look for .cmt files (default:\n\
    \                  _build/default when it exists, else .)\n\
    \  --config FILE   load configuration from FILE (default: lint.json\n\
@@ -118,16 +119,9 @@ let () =
   in
   parse arguments;
   (match !rules with
-  | Some ids
-    when (not !typed)
-         && List.exists
-              (fun id ->
-                match id with
-                | Lint.Rule.R11 | Lint.Rule.R12 | Lint.Rule.R13 -> true
-                | _ -> false)
-              ids ->
+  | Some ids when (not !typed) && List.exists Lint.Rule.typed ids ->
       die
-        "crossbar_lint: R11-R13 are effect-stage rules; they need .cmt \
+        "crossbar_lint: R7 and up are typed rules; they need .cmt \
          artifacts, so pass --typed"
   | _ -> ());
   let paths =
@@ -167,8 +161,8 @@ let () =
     print_newline ();
     exit 0
   end;
-  (* Both stages share one parse of the sources and one scope walk. *)
-  let loaded = Lint.Driver.load ~config paths in
+  (* Both stages share one parse of the sources. *)
+  let loaded = Lint.Driver.load paths in
   let findings = Lint.Driver.lint_loaded ~config loaded in
   let findings, typed_stats =
     if not !typed then (findings, None)

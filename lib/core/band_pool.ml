@@ -97,7 +97,6 @@ let rec worker_loop mb =
 
 let spawn_worker () =
   let mb =
-    (* lint: alloc=mb -- one mailbox per worker, once per high-water mark *)
     {
       lock = Mutex.create ();
       signal = Condition.create ();
@@ -113,7 +112,7 @@ let spawn_worker () =
      (completion, failure visibility); no field is ever written
      concurrently.  The pair and worker thunk below are built once per
      pool worker, never per dispatch. *)
-  (* lint: guarded=mb alloc=tuple,closure -- hand-off under mb.lock *)
+  (* lint: guarded=mb -- hand-off under mb.lock *)
   (mb, Domain.spawn (fun () -> worker_loop mb))
 
 (* Grow the pool to at least [wanted] workers.  Caller holds
@@ -124,7 +123,6 @@ let ensure wanted =
   if have >= wanted then current
   else begin
     let grown =
-      (* lint: alloc=grown,closure -- pool growth, once per high-water mark *)
       Array.init wanted (fun i ->
           if i < have then current.(i) else spawn_worker ())
     in
@@ -211,7 +209,6 @@ type offer = {
 }
 
 let no_offer =
-  (* lint: alloc=record -- the sentinel, built once at module start-up *)
   {
     job = ignore_band;
     bands = 0;
@@ -269,7 +266,6 @@ let run_offered bands f =
   if Atomic.get lenders = 0 then run_inline bands f
   else begin
     let o =
-      (* lint: alloc=o -- one offer per nested fan-out while a pool band lends *)
       {
         job = f;
         bands;

@@ -267,13 +267,9 @@ type arena_table = {
 
 (* Built once per domain, at its first combine. *)
 let new_arena_table () =
-  (* lint: alloc=ids -- once per domain *)
   let ids = Array.make arena_limit (-1) in
-  (* lint: alloc=slots -- once per domain *)
   let slots = Array.make arena_limit (Arena.create ~cap:0) in
-  (* lint: alloc=stamps -- once per domain *)
   let stamps = Array.make arena_limit 0 in
-  (* lint: alloc=record -- once per domain *)
   { ids; slots; stamps; clock = 0 }
 
 let arena_tables = Domain.DLS.new_key new_arena_table
@@ -297,7 +293,6 @@ let arena ctx =
     | -1 ->
         let slot = stalest_slot table 1 0 in
         table.ids.(slot) <- ctx.id;
-        (* lint: alloc=slots -- one arena per (context, domain) miss *)
         table.slots.(slot) <- Arena.create ~cap:ctx.cap;
         slot
     | slot -> slot
@@ -409,7 +404,6 @@ let class_factor ctx model r =
   let last = Model.max_concurrent model r in
   let seq = Arena.acquire (arena ctx) ~cap:ctx.cap ~stride:a in
   Lattice.set seq 0 1.;
-  (* lint: alloc=v,peak,step,k -- chain cells, O(R) per solve *)
   let v = ref 0. and peak = ref 1. and step = ref 0. and k = ref 1 in
   step := Special.permutations ctx.n1 a *. Special.permutations ctx.n2 a;
   while !k <= last do
@@ -454,7 +448,6 @@ let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 let prechunk (arena : Arena.t) a b =
   arena.ka <- 0;
   arena.kb <- 0;
-  (* lint: alloc=ma,mb -- two scratch cells per prechunk *)
   let ma = ref (Lattice.max_abs a) and mb = ref (Lattice.max_abs b) in
   (* No number of chunks brings an infinity below the threshold: the
      loop below would never end. *)
@@ -525,9 +518,8 @@ let load_chunked dst src k =
    would measure a blocked body for it. *)
 let dense_square (w : Lattice.values) (a : Lattice.values)
     (b : Lattice.values) ~ha ~hb result lo hi =
-  (* lint: alloc=s0,s1,s2,s3 -- unboxed; test_kernel's zero-word gate *)
+  (* s0..s3 stay unboxed; test_kernel's zero-word gate holds them to it. *)
   let s0 = ref 0. and s1 = ref 0. and s2 = ref 0. and s3 = ref 0. in
-  (* lint: alloc=total -- an int cell, never boxed *)
   let total = ref lo in
   while !total <= hi do
     let t = !total in
@@ -623,7 +615,6 @@ let kernel_dense ctx left right ~ha ~hb result lo hi =
   let left = Lattice.values left and right = Lattice.values right in
   if w1 == w2 then dense_square w1 left right ~ha ~hb result lo hi
   else begin
-    (* lint: alloc=sum -- one scratch cell for the whole kernel *)
     let sum = ref 0. in
     for total = lo to hi do
       let base = tri total in
@@ -653,7 +644,6 @@ let kernel_strided ctx left right ~sa ~sb ~ha ~hb result lo hi =
   let left = Lattice.values left and right = Lattice.values right in
   let g = gcd sa sb in
   let step = sa / g * sb in
-  (* lint: alloc=sum,v -- two scratch cells for the whole kernel *)
   let sum = ref 0. and v = ref 0 in
   for total = lo to hi do
     sum := 0.;
@@ -719,7 +709,7 @@ let combine_banded ctx counter left right ~sa ~sb ~ha ~hb ~span result =
      ratio tables are read-only during the kernel.  One band thunk per
      banded combine.  (A directive covers its own line and the next
      only.) *)
-  (* lint: guarded=ctx,left,right,result alloc=closure -- see above *)
+  (* lint: guarded=ctx,left,right,result -- see above *)
   Band_pool.run ~bands (fun i ->
       let lo = band_lo span bands i in
       let hi = band_lo span bands (i + 1) - 1 in
@@ -983,19 +973,16 @@ module Factor_tree = struct
     match Model.class_delta t.model model with
     | None -> assert false (* dimensions and class count checked above *)
     | Some [] ->
-        (* lint: alloc=record -- unchanged classes: one record, no combines *)
         { t with model; combines = 0; banded = 0 }
     | Some changed ->
         let arena = arena t.ctx in
-        (* lint: alloc=counter -- solve-local banded counter, one per update *)
         let counter = Atomic.make 0 in
-        (* lint: alloc=levels -- spine copy, O(log R); nodes stay shared *)
+        (* Spine copy, O(log R); the nodes stay shared. *)
         let levels = Array.map Array.copy t.levels in
         refresh_leaves t.ctx ~recycle arena model levels.(0) changed;
         let combines =
           update_levels t.ctx counter ~recycle arena levels 0 changed 0
         in
-        (* lint: alloc=record -- the updated tree value itself *)
         {
           model;
           ctx = t.ctx;
@@ -1018,17 +1005,14 @@ module Factor_tree = struct
     let num = num_classes t in
     if num = 0 then [||]
     else if num = 1 then
-      (* lint: alloc=array -- the degenerate one-class result *)
       [| unit_profile t.ctx.cap |]
     else begin
-      (* lint: alloc=comp,fresh,array -- working row + fresh-node ledger *)
       let comp = ref [| None |] and fresh = ref [] in
       for k = Array.length t.levels - 1 downto 1 do
         let children = t.levels.(k - 1) in
         let n = Array.length children in
         let parent_comp = !comp in
         comp :=
-          (* lint: alloc=array,closure -- next complement row, one per level *)
           Array.init n (fun i ->
               let above = parent_comp.(i / 2) in
               let sibling =
@@ -1047,8 +1031,7 @@ module Factor_tree = struct
                       Some combined))
       done;
       let result =
-        (* lint: alloc=result -- the R complements, the sweep's result *)
-        Array.map (* lint: alloc=closure -- unwrap projection, once per sweep *)
+        Array.map
           (function Some l -> l | None -> unit_profile t.ctx.cap)
           !comp
       in

@@ -22,7 +22,6 @@ let create ?(stride = 1) ~capacity () =
     Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (capacity + 1)
   in
   Bigarray.Array1.fill values 0.;
-  (* lint: alloc=record -- the result lattice itself, one per combine *)
   { values; capacity; stride; scale = 0 }
 
 let capacity t = t.capacity
@@ -44,7 +43,6 @@ let reset ?(stride = 1) t =
   t.scale <- 0
 
 let max_abs t =
-  (* lint: alloc=m -- one scratch cell for the whole scan *)
   let m = ref 0. in
   for u = 0 to t.capacity do
     let x = Float.abs (Bigarray.Array1.unsafe_get t.values u) in

@@ -97,7 +97,6 @@ let class_delta a b =
     || Array.length a.classes <> Array.length b.classes
   then None
   else begin
-    (* lint: alloc=changed -- one cell plus the O(#changed) index list *)
     let changed = ref [] in
     for r = Array.length a.classes - 1 downto 0 do
       if not (Traffic.equal a.classes.(r) b.classes.(r)) then

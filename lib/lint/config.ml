@@ -1,6 +1,6 @@
 module Json = Crossbar_engine.Json
 
-type r3_scope = Reachable_from of string list | Paths of string list
+type pool_scope = Reachable_from of string list | Paths of string list
 
 type t = {
   rules : Rule.id list;
@@ -9,8 +9,7 @@ type t = {
   r2_prefixes : string list;
   r2_allowlist : string list;
   r2_banned : string list;
-  r3_scope : r3_scope;
-  mutable_makers : string list;
+  pool_scope : pool_scope;
   r4_prefixes : string list;
   stdout_names : string list;
   r6_prefixes : string list;
@@ -20,7 +19,6 @@ type t = {
   r9_lock_wrappers : string list;
   r10_sinks : string list;
   r10_guarded_types : string list;
-  hot_roots : string list;
   r12_boundaries : string list;
   r13_log_producers : string list;
   r13_linear_producers : string list;
@@ -42,13 +40,7 @@ let default =
         "Float.exp"; "Float.log"; "Float.log1p"; "Float.expm1";
         "Stdlib.exp"; "Stdlib.log"; "Stdlib.log1p"; "Stdlib.expm1";
       ];
-    r3_scope = Reachable_from [ "lib/engine" ];
-    mutable_makers =
-      [
-        "ref"; "Hashtbl.create"; "Queue.create"; "Stack.create";
-        "Buffer.create"; "Bytes.create"; "Bytes.make"; "Weak.create";
-        "Stdlib.ref"; "Random.self_init";
-      ];
+    pool_scope = Reachable_from [ "lib/engine" ];
     r4_prefixes = [ "lib" ];
     stdout_names =
       [
@@ -94,15 +86,6 @@ let default =
         "Cache.Memo.t"; "Memo.t";
         "Crossbar_serve.Registry.t"; "Crossbar_serve__Registry.t";
         "Registry.t";
-      ];
-    hot_roots =
-      [
-        "Convolution.combine"; "Convolution.update";
-        "Convolution.leave_one_out"; "Lattice.get"; "Lattice.set";
-        "Lattice.unsafe_get"; "Lattice.unsafe_set"; "Lattice.reset";
-        "Lattice.max_abs"; "Lattice.rescale"; "Lattice.normalize";
-        "Lattice.add_scale"; "Lattice.apply_chunks"; "Kahan.add";
-        "Kahan.total"; "Kahan.sum"; "Kahan.dot";
       ];
     r12_boundaries =
       [
@@ -153,7 +136,7 @@ let strings items = Json.List (List.map (fun s -> Json.String s) items)
 
 let to_json t =
   let scope_kind, scope_prefixes =
-    match t.r3_scope with
+    match t.pool_scope with
     | Reachable_from prefixes -> ("reachable_from", prefixes)
     | Paths prefixes -> ("paths", prefixes)
   in
@@ -169,13 +152,12 @@ let to_json t =
       ("r2_prefixes", strings t.r2_prefixes);
       ("r2_allowlist", strings t.r2_allowlist);
       ("r2_banned", strings t.r2_banned);
-      ( "r3_scope",
+      ( "pool_scope",
         Json.Assoc
           [
             ("kind", Json.String scope_kind);
             ("prefixes", strings scope_prefixes);
           ] );
-      ("mutable_makers", strings t.mutable_makers);
       ("r4_prefixes", strings t.r4_prefixes);
       ("stdout_names", strings t.stdout_names);
       ("r6_prefixes", strings t.r6_prefixes);
@@ -185,7 +167,6 @@ let to_json t =
       ("r9_lock_wrappers", strings t.r9_lock_wrappers);
       ("r10_sinks", strings t.r10_sinks);
       ("r10_guarded_types", strings t.r10_guarded_types);
-      ("hot_roots", strings t.hot_roots);
       ("r12_boundaries", strings t.r12_boundaries);
       ("r13_log_producers", strings t.r13_log_producers);
       ("r13_linear_producers", strings t.r13_linear_producers);
@@ -205,19 +186,21 @@ let of_json json =
     | Some value -> Ok value
     | None -> Error (Printf.sprintf "config: missing field %S" key)
   in
-  let string_list key =
-    let* value = field key in
-    match value with
+  let string_items what = function
     | Json.List items ->
         List.fold_left
           (fun acc item ->
             let* acc = acc in
             match item with
             | Json.String s -> Ok (s :: acc)
-            | _ -> Error (Printf.sprintf "config: %S must hold strings" key))
+            | _ -> Error (Printf.sprintf "config: %s must hold strings" what))
           (Ok []) items
         |> Result.map List.rev
-    | _ -> Error (Printf.sprintf "config: %S must be a list" key)
+    | _ -> Error (Printf.sprintf "config: %s must be a list" what)
+  in
+  let string_list key =
+    let* value = field key in
+    string_items (Printf.sprintf "%S" key) value
   in
   let* schema = field "schema" in
   let* () =
@@ -255,25 +238,17 @@ let of_json json =
   let* r2_prefixes = string_list "r2_prefixes" in
   let* r2_allowlist = string_list "r2_allowlist" in
   let* r2_banned = string_list "r2_banned" in
-  let* r3_scope =
-    let* value = field "r3_scope" in
+  let* pool_scope =
+    let* value = field "pool_scope" in
     let* kind =
       match Json.member "kind" value with
       | Some (Json.String kind) -> Ok kind
-      | _ -> Error "config: \"r3_scope\" needs a string \"kind\""
+      | _ -> Error "config: \"pool_scope\" needs a string \"kind\""
     in
     let* prefixes =
       match Json.member "prefixes" value with
-      | Some (Json.List items) ->
-          List.fold_left
-            (fun acc item ->
-              let* acc = acc in
-              match item with
-              | Json.String s -> Ok (s :: acc)
-              | _ -> Error "config: \"r3_scope\" prefixes must be strings")
-            (Ok []) items
-          |> Result.map List.rev
-      | _ -> Error "config: \"r3_scope\" needs a \"prefixes\" list"
+      | Some items -> string_items "\"pool_scope\" prefixes" items
+      | None -> Error "config: \"pool_scope\" needs a \"prefixes\" list"
     in
     match kind with
     | "reachable_from" -> Ok (Reachable_from prefixes)
@@ -281,11 +256,10 @@ let of_json json =
     | other ->
         Error
           (Printf.sprintf
-             "config: \"r3_scope\" kind %S is neither \"reachable_from\" nor \
+             "config: \"pool_scope\" kind %S is neither \"reachable_from\" nor \
               \"paths\""
              other)
   in
-  let* mutable_makers = string_list "mutable_makers" in
   let* r4_prefixes = string_list "r4_prefixes" in
   let* stdout_names = string_list "stdout_names" in
   let* r6_prefixes = string_list "r6_prefixes" in
@@ -295,7 +269,6 @@ let of_json json =
   let* r9_lock_wrappers = string_list "r9_lock_wrappers" in
   let* r10_sinks = string_list "r10_sinks" in
   let* r10_guarded_types = string_list "r10_guarded_types" in
-  let* hot_roots = string_list "hot_roots" in
   let* r12_boundaries = string_list "r12_boundaries" in
   let* r13_log_producers = string_list "r13_log_producers" in
   let* r13_linear_producers = string_list "r13_linear_producers" in
@@ -310,16 +283,8 @@ let of_json json =
     in
     let* paths =
       match Json.member "paths" value with
-      | Some (Json.List items) ->
-          List.fold_left
-            (fun acc item ->
-              let* acc = acc in
-              match item with
-              | Json.String s -> Ok (s :: acc)
-              | _ -> Error "config: \"doc_coverage\" paths must be strings")
-            (Ok []) items
-          |> Result.map List.rev
-      | _ -> Error "config: \"doc_coverage\" needs a \"paths\" list"
+      | Some items -> string_items "\"doc_coverage\" paths" items
+      | None -> Error "config: \"doc_coverage\" needs a \"paths\" list"
     in
     Ok (threshold, paths)
   in
@@ -331,8 +296,7 @@ let of_json json =
       r2_prefixes;
       r2_allowlist;
       r2_banned;
-      r3_scope;
-      mutable_makers;
+      pool_scope;
       r4_prefixes;
       stdout_names;
       r6_prefixes;
@@ -342,7 +306,6 @@ let of_json json =
       r9_lock_wrappers;
       r10_sinks;
       r10_guarded_types;
-      hot_roots;
       r12_boundaries;
       r13_log_producers;
       r13_linear_producers;

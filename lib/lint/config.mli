@@ -8,11 +8,11 @@
     instead of being compiled in; {!load_file} falls back to {!default}
     when the file does not exist and errors loudly when it is malformed. *)
 
-type r3_scope =
+type pool_scope =
   | Reachable_from of string list
-      (** R3/R8 apply to every compilation unit transitively referenced from
+      (** R8 applies to every compilation unit transitively referenced from
           the files under these prefixes (the Domain-pool workers). *)
-  | Paths of string list  (** R3/R8 apply to files under these prefixes. *)
+  | Paths of string list  (** R8 applies to files under these prefixes. *)
 
 type t = {
   rules : Rule.id list;  (** Enabled rules; [Rule.Syntax] always runs. *)
@@ -24,12 +24,8 @@ type t = {
   r2_prefixes : string list;  (** Directories where R2 applies. *)
   r2_allowlist : string list;  (** Paths exempt from R2 despite the above. *)
   r2_banned : string list;  (** Dotted names R2 forbids (exp, Float.log, ...). *)
-  r3_scope : r3_scope;  (** Shared by R3 (untyped) and R8 (typed). *)
-  mutable_makers : string list;
-      (** Dotted names whose top-level application creates shared mutable
-          state ([ref], [Hashtbl.create], ...).  [Atomic.make] and [Mutex.t]
-          wrapped state are deliberately absent: they are the sanctioned
-          escape hatches. *)
+  pool_scope : pool_scope;
+      (** The code pool workers can reach, where R8 applies. *)
   r4_prefixes : string list;  (** Directories where R4 applies. *)
   stdout_names : string list;  (** Dotted names R4 forbids. *)
   r6_prefixes : string list;  (** Directories where R6 applies. *)
@@ -59,11 +55,6 @@ type t = {
           addition to [r8_sanctioned_types]: the repo's mutex-guarded
           abstractions ([Telemetry.t], [Cache.Memo.t], [Registry.t]).
           Captures of these types never need a [guarded=] annotation. *)
-  hot_roots : string list;
-      (** Function patterns ("Convolution.combine", "Kahan.add") whose
-          transitive callees R11 requires to be allocation-free; matched
-          against [Module.func] like [r9_lock_wrappers], so a bare name
-          covers every module. *)
   r12_boundaries : string list;
       (** Functions whose function-literal arguments must not let a raise
           escape (R12): lock wrappers, pool/domain spawners and the serve

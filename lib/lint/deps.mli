@@ -1,5 +1,5 @@
 (** Conservative compilation-unit dependency analysis used to decide where
-    rule R3 (domain-safety) applies.
+    rule R8 (domain-safety) applies.
 
     References are collected syntactically from the Parsetree: every module
     path prefix of a long identifier plus module-position identifiers

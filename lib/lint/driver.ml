@@ -72,10 +72,12 @@ let missing_interface_findings ~config sources =
       else None)
     sources
 
+type loaded = { sources : source list; syntax_findings : Finding.t list }
+
 (* Overlapping path arguments ([lib/core lib/core/lattice.ml]) name the
    same file twice; keep its first occurrence so each file is parsed,
    analysed and fed to the global passes once, in discovery order. *)
-let load_sources paths =
+let load paths =
   let seen = Hashtbl.create 64 in
   let files =
     List.concat_map discover paths
@@ -92,54 +94,15 @@ let load_sources paths =
         (source :: sources, Option.to_list syntax @ findings))
       ([], []) files
   in
-  (List.rev sources, syntax_findings)
+  { sources = List.rev sources; syntax_findings }
 
-let scope_membership ~config sources =
-  match config.Config.r3_scope with
-  | Config.Paths prefixes -> fun path -> Config.matches path prefixes
-  | Config.Reachable_from root_prefixes ->
-      let impls =
-        List.filter_map
-          (fun s ->
-            match s.parsed with
-            | Impl ast -> Some (s.path, Deps.refs ast)
-            | Intf | Broken -> None)
-          sources
-      in
-      let read_dune path =
-        if Sys.file_exists path && not (Sys.is_directory path) then
-          Some (read_file path)
-        else None
-      in
-      let graph = Deps.build ~read_dune impls in
-      let roots =
-        List.filter_map
-          (fun (path, _) ->
-            if Config.matches path root_prefixes then Some path else None)
-          impls
-      in
-      Deps.reachable graph ~roots
-
-type loaded = {
-  sources : source list;
-  syntax_findings : Finding.t list;
-  in_scope : string -> bool;
-}
-
-let load ~config paths =
-  let sources, syntax_findings = load_sources paths in
-  { sources; syntax_findings; in_scope = scope_membership ~config sources }
-
-let lint_loaded ~config { sources; syntax_findings; in_scope = r3_applies } =
+let lint_loaded ~config { sources; syntax_findings } =
   let rule_findings =
     List.concat_map
       (fun source ->
         match source.parsed with
         | Impl ast ->
-            let raw =
-              Rules.check ~config ~path:source.path
-                ~r3_applies:(r3_applies source.path) ast
-            in
+            let raw = Rules.check ~config ~path:source.path ast in
             let suppressions = Suppress.scan source.text in
             List.filter
               (fun (f : Finding.t) ->
@@ -157,7 +120,7 @@ let lint_loaded ~config { sources; syntax_findings; in_scope = r3_applies } =
   in
   List.sort_uniq Finding.compare (syntax_findings @ rule_findings @ r6)
 
-let lint ~config paths = lint_loaded ~config (load ~config paths)
+let lint ~config paths = lint_loaded ~config (load paths)
 
 let pp_report ppf findings =
   List.iter (fun f -> Format.fprintf ppf "%a@." Finding.pp f) findings;

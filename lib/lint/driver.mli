@@ -1,12 +1,11 @@
 (** Orchestrates an untyped lint run: discovers [.ml]/[.mli] files under the
-    given paths, parses them with compiler-libs, computes the R3 reachability
-    set over the whole file set, applies the per-file rules, honours
-    suppression comments, and appends the R6 interface check.
+    given paths, parses them with compiler-libs, applies the per-file rules,
+    honours suppression comments, and appends the R6 interface check.
 
     A run of both stages loads its paths once ({!load}) and hands the
     result to {!lint_loaded} and to the Typedtree stage
     ([Crossbar_lint_typed.Driver.run_loaded]), so both see the same file
-    universe and the same R3/R8 scope, each derived once. *)
+    universe, parsed once. *)
 
 type parsed =
   | Impl of Parsetree.structure
@@ -26,17 +25,12 @@ type loaded = {
           paths overlap (first occurrence kept); unparseable files are
           [Broken] *)
   syntax_findings : Finding.t list;  (** the [Rule.Syntax] findings *)
-  in_scope : string -> bool;
-      (** membership in [config.r3_scope]: a plain prefix match, or the
-          files transitively referenced from the scope roots (resolved
-          through dune library wrappers).  R3 (untyped) and R8 (typed)
-          share it. *)
 }
 (** One load of a path set, shared by the stages of a run. *)
 
-val load : config:Config.t -> string list -> loaded
-(** Discovers, parses and scopes every file under [paths].  Filesystem
-    errors (unreadable path) raise [Sys_error]. *)
+val load : string list -> loaded
+(** Discovers and parses every file under [paths].  Filesystem errors
+    (unreadable path) raise [Sys_error]. *)
 
 val lint_loaded : config:Config.t -> loaded -> Finding.t list
 (** {!lint} over an already loaded path set. *)

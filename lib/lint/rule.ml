@@ -2,7 +2,6 @@ type id =
   | Syntax
   | R1
   | R2
-  | R3
   | R4
   | R5
   | R6
@@ -10,18 +9,16 @@ type id =
   | R8
   | R9
   | R10
-  | R11
   | R12
   | R13
 
-let all = [ R1; R2; R3; R4; R5; R6; R7; R8; R9; R10; R11; R12; R13 ]
-let typed = function R7 | R8 | R9 | R10 | R11 | R12 | R13 -> true | _ -> false
+let all = [ R1; R2; R4; R5; R6; R7; R8; R9; R10; R12; R13 ]
+let typed = function R7 | R8 | R9 | R10 | R12 | R13 -> true | _ -> false
 
 let to_string = function
   | Syntax -> "R0"
   | R1 -> "R1"
   | R2 -> "R2"
-  | R3 -> "R3"
   | R4 -> "R4"
   | R5 -> "R5"
   | R6 -> "R6"
@@ -29,7 +26,6 @@ let to_string = function
   | R8 -> "R8"
   | R9 -> "R9"
   | R10 -> "R10"
-  | R11 -> "R11"
   | R12 -> "R12"
   | R13 -> "R13"
 
@@ -38,7 +34,6 @@ let of_string text =
   | "R0" | "SYNTAX" -> Some Syntax
   | "R1" -> Some R1
   | "R2" -> Some R2
-  | "R3" -> Some R3
   | "R4" -> Some R4
   | "R5" -> Some R5
   | "R6" -> Some R6
@@ -46,7 +41,6 @@ let of_string text =
   | "R8" -> Some R8
   | "R9" -> Some R9
   | "R10" -> Some R10
-  | "R11" -> Some R11
   | "R12" -> Some R12
   | "R13" -> Some R13
   | _ -> None
@@ -82,9 +76,8 @@ let parse_list text =
 
 let title = function
   | Syntax -> "source file must parse"
-  | R1 -> "no float equality or magic-literal ordering outside lib/numerics"
+  | R1 -> "no ordering against a magic float literal outside lib/numerics"
   | R2 -> "exp/log in core numerical code must go through Logspace/Prob"
-  | R3 -> "no top-level mutable state on code reachable from Engine.Pool workers"
   | R4 -> "library code must not print to stdout"
   | R5 -> "no exception-swallowing catch-all handlers"
   | R6 -> "every library implementation has a matching interface"
@@ -94,7 +87,6 @@ let title = function
   | R10 ->
       "closures crossing a domain boundary must not capture unsynchronized \
        mutable state (typed)"
-  | R11 -> "hot_roots call chains must be transitively allocation-free (typed)"
   | R12 ->
       "raise effects must not escape through pool, lock or batcher boundaries \
        (typed)"
@@ -104,14 +96,11 @@ let rationale = function
   | Syntax -> "a file the compiler cannot parse cannot be audited at all"
   | R1 ->
       "the product-form recurrences (Algorithms 1 and 2) are only correct \
-       under tolerance/ULP comparison discipline; raw literal comparisons \
-       hide rounding bugs"
+       under tolerance/ULP comparison discipline; a threshold such as \
+       x > 0.75 is an unnamed tolerance that hides rounding bugs"
   | R2 ->
       "raw exp/log silently under/overflows on the dynamic ranges the \
        normalisation constants span; the Logspace/Prob wrappers are guarded"
-  | R3 ->
-      "the Domain pool runs library code from several domains; unsynchronized \
-       top-level state is a data race"
   | R4 ->
       "libraries must return data or take an explicit formatter so callers \
        (CLI, bench, tests) control the channel"
@@ -123,8 +112,8 @@ let rationale = function
        leaks and the invariants above cannot be enforced at the boundary"
   | R7 ->
       "Float.equal/Float.compare and polymorphic = on floats are exact \
-       bit-pattern comparisons the Parsetree pass cannot see through \
-       aliases; typing closes R1's blind spot"
+       bit-pattern comparisons; only the inferred types show that an \
+       operand is a float, however it is spelled or aliased"
   | R8 ->
       "a top-level array, Bytes, ref or mutable-field record is shared \
        across pool domains whatever expression created it; the value's \
@@ -138,11 +127,6 @@ let rationale = function
        domain; every array, ref or mutable record it closes over is shared \
        without synchronisation, so only Atomic/Mutex-guarded (or explicitly \
        annotated) captures are sound"
-  | R11 ->
-      "the factor-tree combine path is the inner loop of every solve; one \
-       boxed float, closure or tuple per lattice cell turns the zero-alloc \
-       kernel into a GC benchmark, so every allocation reachable from a \
-       hot root must be sanctioned by name or removed"
   | R12 ->
       "an exception thrown inside a lambda handed to Mutex.protect, \
        Engine.Pool.run or the serve batcher unwinds mid-critical-section: \

@@ -1,16 +1,16 @@
 (** Identifiers, one-line titles and rationales for the crossbar-lint rule
     set.  [Syntax] (rendered "R0") is the pseudo-rule reported when a file
-    does not parse; it cannot be disabled or suppressed.  R1-R6 run on the
-    Parsetree (untyped, fast); R7-R13 need the Typedtree stage driven from
-    dune-produced [.cmt] artifacts.  R11-R13 additionally need the
-    interprocedural effect stage (per-function allocation, raise and
-    float-domain summaries closed over the call graph). *)
+    does not parse; it cannot be disabled or suppressed.  R1, R2 and R4-R6
+    run on the Parsetree (untyped, fast); R7-R10, R12 and R13 need the
+    Typedtree stage driven from dune-produced [.cmt] artifacts.  R12 and
+    R13 additionally need the interprocedural effect stage (per-function
+    raise and float-domain summaries closed over the call graph).  Ids are
+    never renumbered: R3 and R11 were retired and are unknown ids. *)
 
 type id =
   | Syntax
   | R1
   | R2
-  | R3
   | R4
   | R5
   | R6
@@ -18,18 +18,17 @@ type id =
   | R8
   | R9
   | R10
-  | R11
   | R12
   | R13
 
 val all : id list
-(** The real rules R1..R13, in order ([Syntax] excluded). *)
+(** The real rules, in id order ([Syntax] excluded). *)
 
 val typed : id -> bool
-(** Whether the rule needs the Typedtree stage (R7..R13). *)
+(** Whether the rule needs the Typedtree stage (R7 and up). *)
 
 val to_string : id -> string
-(** ["R0"] for [Syntax], ["R1"].."R13" otherwise. *)
+(** ["R0"] for [Syntax], ["R1"], ["R2"], ... otherwise. *)
 
 val of_string : string -> id option
 (** Inverse of {!to_string} for the real rules; ["R0"] and unknown ids
@@ -49,4 +48,4 @@ val rationale : id -> string
 (** Why the invariant matters for this codebase. *)
 
 val compare : id -> id -> int
-(** Orders [Syntax] first, then R1..R13. *)
+(** Orders [Syntax] first, then the rules by id. *)

@@ -11,20 +11,10 @@ let rec flatten = function
 
 let dotted lid = String.concat "." (flatten lid)
 
-let equality_ops = [ "="; "<>"; "=="; "!=" ]
 let ordering_ops = [ "<"; ">"; "<="; ">=" ]
 
-(* R1 also covers the functional spellings applied to a bare literal; the
-   typed pass (R7) closes the remaining gap where both operands are
-   expressions. *)
-let float_equality_fns =
-  [
-    "Float.equal"; "Float.compare";
-    "Stdlib.Float.equal"; "Stdlib.Float.compare";
-  ]
-
 (* The parser folds unary minus into the literal, but handle an explicit
-   application of [~-.] as well so [x = -. 1.] does not slip through. *)
+   application of [~-.] as well so [x > -. 1.5] does not slip through. *)
 let float_literal expr =
   match expr.pexp_desc with
   | Pexp_constant (Pconst_float (text, None)) -> float_of_string_opt text
@@ -35,7 +25,7 @@ let float_literal expr =
       Option.map Float.neg (float_of_string_opt text)
   | _ -> None
 
-let check ~(config : Config.t) ~path ~r3_applies structure =
+let check ~(config : Config.t) ~path structure =
   let findings = ref [] in
   let add rule loc message =
     let line, col = line_col loc in
@@ -51,7 +41,10 @@ let check ~(config : Config.t) ~path ~r3_applies structure =
   in
   let r4_applies = enabled Rule.R4 && Config.matches path config.r4_prefixes in
 
-  let check_comparison op loc lhs rhs =
+  (* Ordering against 0., 1. or -1. is an exact domain guard; any other
+     literal is an unnamed tolerance.  Float equality is R7's: only the
+     inferred types show that an operand is a float. *)
+  let check_ordering op loc lhs rhs =
     let literal =
       match float_literal lhs with
       | Some v -> Some v
@@ -60,14 +53,7 @@ let check ~(config : Config.t) ~path ~r3_applies structure =
     match literal with
     | None -> ()
     | Some v ->
-        if List.mem op equality_ops then
-          add Rule.R1 loc
-            (Printf.sprintf
-               "float %s against literal %g; use \
-                Crossbar_numerics.Prob.{is_zero,approx_eq,ulp_equal} or a \
-                named tolerance"
-               op v)
-        else if
+        if
           (* lint: disable=R7 — configured literals match by exact bits *)
           not (List.exists (fun a -> Float.equal a v) config.ordering_literals)
         then
@@ -90,26 +76,8 @@ let check ~(config : Config.t) ~path ~r3_applies structure =
     | Pexp_apply
         ( { pexp_desc = Pexp_ident { txt = Lident op; _ }; _ },
           [ (Nolabel, lhs); (Nolabel, rhs) ] )
-      when r1_applies && (List.mem op equality_ops || List.mem op ordering_ops)
-      ->
-        check_comparison op expr.pexp_loc lhs rhs
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args)
-      when r1_applies
-           && List.mem (dotted txt) float_equality_fns
-           && List.exists
-                (fun (label, arg) ->
-                  label = Asttypes.Nolabel && float_literal arg <> None)
-                args ->
-        let literal =
-          List.find_map (fun (_, arg) -> float_literal arg) args
-        in
-        add Rule.R1 expr.pexp_loc
-          (Printf.sprintf
-             "%s against literal %g is an exact bit comparison; use \
-              Crossbar_numerics.Prob.{is_zero,approx_eq,ulp_equal} or a \
-              named tolerance"
-             (dotted txt)
-             (Option.value ~default:Float.nan literal))
+      when r1_applies && List.mem op ordering_ops ->
+        check_ordering op expr.pexp_loc lhs rhs
     | Pexp_ident { txt; loc }
       when r2_applies && List.mem (dotted txt) config.r2_banned ->
         add Rule.R2 loc
@@ -150,55 +118,4 @@ let check ~(config : Config.t) ~path ~r3_applies structure =
   in
   let iterator = { Ast_iterator.default_iterator with expr = expr_iter } in
   iterator.structure iterator structure;
-
-  (* R3 walks structure items only: mutable state created inside a function
-     body is fresh per call and therefore domain-safe. *)
-  if enabled Rule.R3 && r3_applies then begin
-    let rec creates_mutable expr =
-      match expr.pexp_desc with
-      | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) ->
-          List.mem (dotted txt) config.mutable_makers
-      | Pexp_let (_, _, body)
-      | Pexp_sequence (_, body)
-      | Pexp_constraint (body, _)
-      | Pexp_open (_, body) ->
-          creates_mutable body
-      | Pexp_tuple items -> List.exists creates_mutable items
-      | Pexp_record (fields, extends) ->
-          List.exists (fun (_, value) -> creates_mutable value) fields
-          || (match extends with
-             | Some base -> creates_mutable base
-             | None -> false)
-      | Pexp_ifthenelse (_, then_, else_) ->
-          creates_mutable then_
-          || (match else_ with Some e -> creates_mutable e | None -> false)
-      | _ -> false
-    in
-    let rec walk_items items =
-      List.iter
-        (fun item ->
-          match item.pstr_desc with
-          | Pstr_value (_, bindings) ->
-              List.iter
-                (fun binding ->
-                  if creates_mutable binding.pvb_expr then
-                    add Rule.R3 binding.pvb_loc
-                      "top-level mutable state is shared across pool domains; \
-                       use Atomic/Mutex or annotate (* lint: domain-safe — \
-                       reason *)")
-                bindings
-          | Pstr_module { pmb_expr; _ } -> walk_module pmb_expr
-          | Pstr_recmodule bindings ->
-              List.iter (fun mb -> walk_module mb.pmb_expr) bindings
-          | Pstr_include { pincl_mod; _ } -> walk_module pincl_mod
-          | _ -> ())
-        items
-    and walk_module mexpr =
-      match mexpr.pmod_desc with
-      | Pmod_structure items -> walk_items items
-      | Pmod_constraint (inner, _) -> walk_module inner
-      | _ -> ()
-    in
-    walk_items structure
-  end;
   List.rev !findings

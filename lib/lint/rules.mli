@@ -1,18 +1,12 @@
-(** Per-file AST checks for rules R1–R5 (R6 is a file-set property handled
-    by {!Driver}).  The walk is a [Parsetree] traversal via
+(** Per-file AST checks for rules R1, R2, R4 and R5 (R6 is a file-set
+    property handled by {!Driver}).  The walk is a [Parsetree] traversal via
     [Ast_iterator] — no regexes, so string and comment contents can never
     produce false positives. *)
 
 val check :
-  config:Config.t ->
-  path:string ->
-  r3_applies:bool ->
-  Parsetree.structure ->
-  Finding.t list
-(** [check ~config ~path ~r3_applies ast] returns the unsuppressed findings
-    for one implementation file, in source order.  [r3_applies] tells the
-    walker whether [path] is in the Domain-pool reachability set (computed
-    by {!Driver} over the whole file set). *)
+  config:Config.t -> path:string -> Parsetree.structure -> Finding.t list
+(** [check ~config ~path ast] returns the unsuppressed findings for one
+    implementation file, in source order. *)
 
 val flatten : Longident.t -> string list
 (** Components of a long identifier, outermost first. *)

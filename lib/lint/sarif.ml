@@ -47,8 +47,8 @@ let result (f : Finding.t) =
 
 let to_json findings =
   (* The driver advertises the full rule catalogue, not just the rules
-     with findings: a clean run still documents what was enforced
-     (R11-R13 included), and viewers resolve ruleId against this list.
+     with findings: a clean run still documents what was enforced (the
+     typed rules included), and viewers resolve ruleId against this list.
      [Syntax] rides along only when a file actually failed to parse. *)
   let rules_present =
     List.sort_uniq Rule.compare

@@ -2,7 +2,6 @@ type t = {
   file_rules : Rule.id list;
   line_rules : (int, Rule.id list) Hashtbl.t;
   guard_lines : (int, string list) Hashtbl.t;
-  alloc_lines : (int, string list) Hashtbl.t;
 }
 
 let empty () =
@@ -10,7 +9,6 @@ let empty () =
     file_rules = [];
     line_rules = Hashtbl.create 4;
     guard_lines = Hashtbl.create 4;
-    alloc_lines = Hashtbl.create 4;
   }
 
 let marker = "lint:"
@@ -58,22 +56,17 @@ let directives_of_line line =
                  (`Line
                    (parse_ids (String.sub word 8 (String.length word - 8))))
              else if String.equal word "domain-safe" then
-               Some (`Line [ Rule.R3; Rule.R8; Rule.R9 ])
+               Some (`Line [ Rule.R8; Rule.R9 ])
              else if String.starts_with ~prefix:"guarded=" word then
                Some
                  (`Guard
                    (parse_names (String.sub word 8 (String.length word - 8))))
-             else if String.starts_with ~prefix:"alloc=" word then
-               Some
-                 (`Alloc
-                   (parse_names (String.sub word 6 (String.length word - 6))))
              else None)
 
 let scan text =
   let file_rules = ref [] in
   let line_rules = Hashtbl.create 4 in
   let guard_lines = Hashtbl.create 4 in
-  let alloc_lines = Hashtbl.create 4 in
   let add table n values =
     let existing = Option.value ~default:[] (Hashtbl.find_opt table n) in
     Hashtbl.replace table n (values @ existing)
@@ -90,13 +83,10 @@ let scan text =
               add line_rules (n + 1) rules
           | `Guard names ->
               add guard_lines n names;
-              add guard_lines (n + 1) names
-          | `Alloc names ->
-              add alloc_lines n names;
-              add alloc_lines (n + 1) names)
+              add guard_lines (n + 1) names)
         (directives_of_line line))
     (String.split_on_char '\n' text);
-  { file_rules = !file_rules; line_rules; guard_lines; alloc_lines }
+  { file_rules = !file_rules; line_rules; guard_lines }
 
 let active t ~rule ~line =
   rule <> Rule.Syntax
@@ -108,6 +98,3 @@ let active t ~rule ~line =
 
 let guarded t ~line =
   Option.value ~default:[] (Hashtbl.find_opt t.guard_lines line)
-
-let sanctioned_allocs t ~line =
-  Option.value ~default:[] (Hashtbl.find_opt t.alloc_lines line)

@@ -8,18 +8,12 @@
       can trail the offending expression or sit just above it);
     - [(* lint: disable-file=R4 — reason *)] suppresses for the whole file;
     - [(* lint: domain-safe — reason *)] is shorthand for
-      [disable=R3,R8,R9] — one annotation covers the untyped and typed
-      shared-state rules alike;
+      [disable=R8,R9] — one annotation covers both shared-state rules;
     - [(* lint: guarded=name1,name2 — reason *)] declares the named
       captures at a domain-boundary call site to be safely guarded
       (single-writer protocol, read-only sharing, joined before reads);
       R10 skips exactly those names on the directive's own line and the
-      next, leaving every other capture at the site flagged;
-    - [(* lint: alloc=name1,name2 — reason *)] sanctions the named
-      allocation sites (the let-bound name, or the synthetic kind name
-      such as ["tuple"] when the value is anonymous) for R11 on the
-      directive's own line and the next, leaving every other allocation
-      reachable from a hot root flagged.
+      next, leaving every other capture at the site flagged.
 
     The free-form reason is not parsed but is required by convention; the
     [Syntax] pseudo-rule can never be suppressed. *)
@@ -37,8 +31,4 @@ val active : t -> rule:Rule.id -> line:int -> bool
 
 val guarded : t -> line:int -> string list
 (** Capture names declared guarded at [line] via [guarded=] directives
-    (a directive covers its own line and the following one). *)
-
-val sanctioned_allocs : t -> line:int -> string list
-(** Allocation names sanctioned at [line] via [alloc=] directives
     (a directive covers its own line and the following one). *)

@@ -22,8 +22,37 @@ let timed f =
   let value = f () in
   (value, Sys.time () -. t0)
 
+(* Membership in [config.pool_scope], where R8 applies: a plain prefix
+   match, or the files transitively referenced from the scope roots
+   (resolved through dune library wrappers). *)
+let pool_scope ~(config : Lint.Config.t) sources =
+  match config.Lint.Config.pool_scope with
+  | Lint.Config.Paths prefixes -> fun path -> Lint.Config.matches path prefixes
+  | Lint.Config.Reachable_from root_prefixes ->
+      let impls =
+        List.filter_map
+          (fun (s : Lint.Driver.source) ->
+            match s.Lint.Driver.parsed with
+            | Lint.Driver.Impl ast ->
+                Some (s.Lint.Driver.path, Lint.Deps.refs ast)
+            | Lint.Driver.Intf | Lint.Driver.Broken -> None)
+          sources
+      in
+      let read_dune path =
+        if Sys.file_exists path && not (Sys.is_directory path) then
+          Some (In_channel.with_open_bin path In_channel.input_all)
+        else None
+      in
+      let roots =
+        List.filter_map
+          (fun (path, _) ->
+            if Lint.Config.matches path root_prefixes then Some path else None)
+          impls
+      in
+      Lint.Deps.reachable (Lint.Deps.build ~read_dune impls) ~roots
+
 let run_loaded ~(config : Lint.Config.t) ~cmt_index ~cmt_root
-    { Lint.Driver.sources; in_scope; syntax_findings = _ } =
+    { Lint.Driver.sources; syntax_findings = _ } =
   let impls =
     List.filter
       (fun (s : Lint.Driver.source) ->
@@ -31,6 +60,10 @@ let run_loaded ~(config : Lint.Config.t) ~cmt_index ~cmt_root
         | Lint.Driver.Impl _ -> true
         | Lint.Driver.Intf | Lint.Driver.Broken -> false)
       sources
+  in
+  let in_scope =
+    if Lint.Config.enabled config Rule.R8 then pool_scope ~config impls
+    else fun _ -> false
   in
   let session = Typed_rules.session () in
   let missing = ref [] in
@@ -98,25 +131,18 @@ let run_loaded ~(config : Lint.Config.t) ~cmt_index ~cmt_root
       Callgraph.findings ~config ?locked_lambdas summaries
     else []
   in
-  (* Stage three: the effect/domain closures behind R11-R13, backed by
-     the same suppression scans for [alloc=] sanctions. *)
-  let sanctioned ~path ~line =
-    match Hashtbl.find_opt by_path path with
-    | Some suppress -> Lint.Suppress.sanctioned_allocs suppress ~line
-    | None -> []
-  in
+  (* Stage three: the raise and float-domain closures behind R12/R13. *)
   let effects, effects_s =
     timed @@ fun () ->
     if
-      Lint.Config.enabled config Rule.R11
-      || Lint.Config.enabled config Rule.R12
+      Lint.Config.enabled config Rule.R12
       || Lint.Config.enabled config Rule.R13
-    then Some (Effects.analyse ~config ~sanctioned summaries)
+    then Some (Effects.analyse ~config summaries)
     else None
   in
   let effect_findings =
     match effects with
-    | Some e -> e.Effects.r11 @ e.Effects.r12 @ e.Effects.r13
+    | Some e -> e.Effects.r12 @ e.Effects.r13
     | None -> []
   in
   let survives (f : Finding.t) =
@@ -153,4 +179,4 @@ let run_loaded ~(config : Lint.Config.t) ~cmt_index ~cmt_root
     } )
 
 let run ~config ~cmt_index ~cmt_root paths =
-  run_loaded ~config ~cmt_index ~cmt_root (Lint.Driver.load ~config paths)
+  run_loaded ~config ~cmt_index ~cmt_root (Lint.Driver.load paths)

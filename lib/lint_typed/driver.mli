@@ -5,9 +5,10 @@
     {!Typed_rules}, then runs the global passes over the full summary
     set: the {!Capture} escape fixpoint (R10 findings plus locked-lambda
     facts), the {!Callgraph} R9 reachability consuming those facts, and
-    the {!Effects} stage (R11 allocation walk, R12 raise fixpoint, R13
-    domain resolution) — and filters everything through the shared
-    suppression directives.  A run is a plain function of the sources,
+    the {!Effects} stage (R12 raise fixpoint, R13 domain resolution) —
+    and filters everything through the shared suppression directives.
+    The R8 scope ([pool_scope] in the config) is resolved here, and only
+    when R8 is enabled.  A run is a plain function of the sources,
     the artifacts and the config: nothing persists between runs. *)
 
 type stats = {
@@ -37,7 +38,7 @@ val run_loaded :
   Crossbar_lint.Finding.t list * stats
 (** {!run} over a path set stage one already loaded
     ({!Crossbar_lint.Driver.load}), so a run of both stages parses each
-    file and resolves the R3/R8 scope once. *)
+    file once. *)
 
 val run :
   config:Crossbar_lint.Config.t ->

@@ -3,7 +3,6 @@ module Finding = Lint.Finding
 module Rule = Lint.Rule
 
 type result = {
-  r11 : Finding.t list;
   r12 : Finding.t list;
   r13 : Finding.t list;
   raise_iterations : int;
@@ -13,84 +12,10 @@ type result = {
 let key (node : Callgraph.node) =
   (node.Callgraph.file.Summary.path, node.Callgraph.func.Summary.f_name)
 
-let label (file : Summary.file) (func : Summary.func) =
-  Callgraph.short_modname file.Summary.modname ^ "." ^ func.Summary.f_name
-
-let hot_root ~(config : Lint.Config.t) file func =
-  let name = label file func in
-  List.exists
-    (fun pattern -> Typed_rules.dotted_match ~pattern name)
-    config.Lint.Config.hot_roots
-
 let boundary ~(config : Lint.Config.t) callee =
   List.exists
     (fun pattern -> Typed_rules.dotted_match ~pattern callee)
     config.Lint.Config.r12_boundaries
-
-(* ---------- R11: hot roots must be transitively allocation-free ---------- *)
-
-let r11_findings ~config ~sanctioned resolve files =
-  (* BFS from every hot root over resolved call edges, carrying the
-     witness chain (root -> ... -> callee) for the message.  First
-     discovery wins, so each function is reported against one chain. *)
-  let chains : (string * string, string list) Hashtbl.t = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  List.iter
-    (fun (file : Summary.file) ->
-      List.iter
-        (fun (func : Summary.func) ->
-          if hot_root ~config file func then begin
-            let node = { Callgraph.file; func } in
-            if not (Hashtbl.mem chains (key node)) then begin
-              Hashtbl.add chains (key node) [ label file func ];
-              Queue.add node queue
-            end
-          end)
-        file.Summary.funcs)
-    files;
-  while not (Queue.is_empty queue) do
-    let node = Queue.pop queue in
-    let chain = Hashtbl.find chains (key node) in
-    List.iter
-      (fun call ->
-        match resolve node.Callgraph.file call with
-        | Some (next : Callgraph.node) when not (Hashtbl.mem chains (key next))
-          ->
-            Hashtbl.add chains (key next)
-              (label next.Callgraph.file next.Callgraph.func :: chain);
-            Queue.add next queue
-        | _ -> ())
-      node.Callgraph.func.Summary.calls
-  done;
-  let out = ref [] in
-  List.iter
-    (fun (file : Summary.file) ->
-      List.iter
-        (fun (func : Summary.func) ->
-          match Hashtbl.find_opt chains (file.Summary.path, func.f_name) with
-          | None -> ()
-          | Some chain ->
-              List.iter
-                (fun (a : Summary.alloc) ->
-                  let names =
-                    sanctioned ~path:file.Summary.path ~line:a.Summary.a_line
-                  in
-                  if not (List.mem a.Summary.a_name names) then
-                    out :=
-                      Finding.make ~rule:Rule.R11 ~file:file.Summary.path
-                        ~line:a.Summary.a_line ~col:a.Summary.a_col
-                        (Printf.sprintf
-                           "hot path %s allocates a %s (%s); preallocate or \
-                            hoist it, or annotate the site (* lint: alloc=%s \
-                            -- reason *)"
-                           (String.concat " -> " (List.rev chain))
-                           (Summary.alloc_kind_to_string a.Summary.a_kind)
-                           a.Summary.a_name a.Summary.a_name)
-                      :: !out)
-                func.Summary.allocs)
-        file.Summary.funcs)
-    files;
-  List.rev !out
 
 (* ---------- R12: raises must not escape configured boundaries ---------- *)
 
@@ -324,17 +249,13 @@ let r13_findings resolve files =
     files;
   (List.rev !out, !iterations)
 
-let analyse ~(config : Lint.Config.t) ~sanctioned files =
+let analyse ~(config : Lint.Config.t) files =
   let enabled rule = Lint.Config.enabled config rule in
   let resolve = Callgraph.resolver files in
-  let r11 =
-    if enabled Rule.R11 then r11_findings ~config ~sanctioned resolve files
-    else []
-  in
   let r12, raise_iterations =
     if enabled Rule.R12 then r12_findings ~config resolve files else ([], 0)
   in
   let r13, domain_iterations =
     if enabled Rule.R13 then r13_findings resolve files else ([], 0)
   in
-  { r11; r12; r13; raise_iterations; domain_iterations }
+  { r12; r13; raise_iterations; domain_iterations }

@@ -1,14 +1,9 @@
 (** Interprocedural effect and float-domain analysis (stage three): the
-    global half of R11/R12/R13 over the per-file effect summaries.
+    global half of R12/R13 over the per-file effect summaries.
 
-    Like {!Callgraph} and {!Capture}, this stage is cheap: the three
+    Like {!Callgraph} and {!Capture}, this stage is cheap: the two
     closures here are graph walks over summaries already in memory —
 
-    - {b R11}: a breadth-first walk over resolved call edges from every
-      function matching a [hot_roots] pattern; every boxed-allocation
-      site in a reached function is flagged with the full witness chain
-      (root -> ... -> callee) unless an [(* lint: alloc=name -- ... *)]
-      directive sanctions it by name;
     - {b R12}: a fixpoint over the escaping-raise effect (a function
       raises at body level, or calls one that does), then a check that no
       lambda handed to a configured [r12_boundaries] function carries the
@@ -21,7 +16,6 @@
       mantissas of different profiles. *)
 
 type result = {
-  r11 : Crossbar_lint.Finding.t list;
   r12 : Crossbar_lint.Finding.t list;
   r13 : Crossbar_lint.Finding.t list;
   raise_iterations : int;
@@ -32,13 +26,6 @@ type result = {
           when R13 is disabled) *)
 }
 
-val analyse :
-  config:Crossbar_lint.Config.t ->
-  sanctioned:(path:string -> line:int -> string list) ->
-  Summary.file list ->
-  result
-(** Unsuppressed R11/R12/R13 findings for the whole program described by
-    the summaries; each rule runs only when enabled in [config].
-    [sanctioned ~path ~line] returns the allocation names an [alloc=]
-    directive sanctions at that line (the driver backs it with the
-    per-file {!Crossbar_lint.Suppress} scans). *)
+val analyse : config:Crossbar_lint.Config.t -> Summary.file list -> result
+(** Unsuppressed R12/R13 findings for the whole program described by the
+    summaries; each rule runs only when enabled in [config]. *)

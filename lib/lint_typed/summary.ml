@@ -30,16 +30,6 @@ type callsite = {
   args : arg_kind list;
 }
 
-type alloc_kind =
-  | Alloc_closure
-  | Alloc_tuple
-  | Alloc_record
-  | Alloc_boxed_float
-  | Alloc_array
-  | Alloc_partial
-
-type alloc = { a_line : int; a_col : int; a_kind : alloc_kind; a_name : string }
-
 type raise_site = {
   r_line : int;
   r_col : int;
@@ -74,7 +64,6 @@ type func = {
   mutations : mutation list;
   lambdas : lambda list;
   callsites : callsite list;
-  allocs : alloc list;
   raises : raise_site list;
   eff_calls : eff_call list;
   domain_sites : domain_site list;
@@ -82,11 +71,3 @@ type func = {
 }
 
 type file = { path : string; modname : string; funcs : func list }
-
-let alloc_kind_to_string = function
-  | Alloc_closure -> "closure"
-  | Alloc_tuple -> "tuple"
-  | Alloc_record -> "record"
-  | Alloc_boxed_float -> "boxed float"
-  | Alloc_array -> "array"
-  | Alloc_partial -> "partial application"

@@ -8,8 +8,8 @@
     Extracting a summary means reading and walking the unit's [.cmt],
     which is the expensive step of the typed stage; the global fixpoints
     over all summaries ({!Callgraph} reachability, {!Capture} escape
-    propagation, {!Effects} allocation/raise/domain closure) are cheap
-    graph walks over the summaries held in memory. *)
+    propagation, {!Effects} raise/domain closure) are cheap graph walks
+    over the summaries held in memory. *)
 
 type mutation = {
   m_line : int;
@@ -57,28 +57,6 @@ type callsite = {
   cs_col : int;
   callee : string;  (** dotted path as resolved by the typechecker *)
   args : arg_kind list;  (** in application order, labels included *)
-}
-
-type alloc_kind =
-  | Alloc_closure  (** a [fun]/[function] literal evaluated at runtime *)
-  | Alloc_tuple
-  | Alloc_record  (** includes [ref] creation of non-float contents *)
-  | Alloc_boxed_float
-      (** a float entering a box: [ref 0.], [Some x], a float field of a
-          polymorphic constructor *)
-  | Alloc_array
-      (** [Array.make]/[Array.map]/array literal of a non-flat element
-          type (float arrays and [floatarray] are unboxed and exempt) *)
-  | Alloc_partial  (** an application whose result is still a function *)
-
-type alloc = {
-  a_line : int;
-  a_col : int;
-  a_kind : alloc_kind;
-  a_name : string;
-      (** the let-bound name receiving the value when there is one,
-          otherwise the kind's synthetic name (["tuple"], ["closure"],
-          ...); [alloc=] directives sanction by this name *)
 }
 
 type raise_site = {
@@ -133,8 +111,6 @@ type func = {
   callsites : callsite list;
       (** only call sites passing at least one [Arg_param]/[Arg_lambda]
           argument — the edges the {!Capture} fixpoint propagates over *)
-  allocs : alloc list;
-      (** boxed-allocation sites in the body, in source order *)
   raises : raise_site list;
       (** unguarded explicit [raise]/[raise_notrace] sites *)
   eff_calls : eff_call list;
@@ -148,6 +124,3 @@ type func = {
 }
 
 type file = { path : string; modname : string; funcs : func list }
-
-val alloc_kind_to_string : alloc_kind -> string
-(** Human-readable kind for finding messages ("boxed float", ...). *)

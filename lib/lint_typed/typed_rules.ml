@@ -45,23 +45,8 @@ let mutator_names =
   ]
 
 let raise_names = [ "Stdlib.raise"; "Stdlib.raise_notrace" ]
-let ref_names = [ "Stdlib.ref"; "ref" ]
 let addsub_names = [ "Stdlib.+."; "Stdlib.-." ]
 let cmp_op_names = [ "Stdlib.<"; "Stdlib.>"; "Stdlib.<="; "Stdlib.>=" ]
-
-(* Array builders whose result is a fresh heap block.  Float arrays and
-   [floatarray] are flat (unboxed) so they are filtered by element type at
-   the use site, per R11's "non-flat element types" scope. *)
-let array_maker_names =
-  [
-    "Stdlib.Array.make"; "Stdlib.Array.init"; "Stdlib.Array.copy";
-    "Stdlib.Array.map"; "Stdlib.Array.mapi"; "Stdlib.Array.append";
-    "Stdlib.Array.sub"; "Stdlib.Array.of_list"; "Stdlib.Array.concat";
-    "Stdlib.Array.make_matrix"; "Stdlib.Array.split";
-    "Array.make"; "Array.init"; "Array.copy"; "Array.map"; "Array.mapi";
-    "Array.append"; "Array.sub"; "Array.of_list"; "Array.concat";
-    "Array.make_matrix"; "Array.split";
-  ]
 
 let last_component name =
   match String.rindex_opt name '.' with
@@ -160,15 +145,6 @@ let is_float env ty =
 let is_arrow env ty =
   match Types.get_desc (expand env ty) with
   | Types.Tarrow _ -> true
-  | _ -> false
-
-(* Whether [ty] is an array/floatarray whose cells are flat floats, i.e.
-   an unboxed block R11 does not count as a boxed allocation. *)
-let array_elem_is_float env ty =
-  match Types.get_desc (expand env ty) with
-  | Types.Tconstr (p, [ elt ], _) when Path.same p Predef.path_array ->
-      is_float env elt
-  | Types.Tconstr (p, _, _) when Path.same p Predef.path_floatarray -> true
   | _ -> false
 
 (* ---------- R8/R10: is this type mutable? ---------- *)
@@ -398,21 +374,17 @@ let analyse ~(config : Lint.Config.t) ~path ~r8_applies ~session ~cmt_root
          pending location is resolved at end of binding. *)
       let pending_callsites = ref [] in
 
-      (* Effect-stage per-binding state.  Allocation, raise and
-         eff-call sites are extracted unconditionally (they are part of
-         the summary); float-domain tracking is skipped inside the
-         numerics libraries, whose internals mix domains by design —
-         exactly the R1/R7 exemption. *)
+      (* Effect-stage per-binding state.  Raise and eff-call sites are
+         extracted unconditionally (they are part of the summary);
+         float-domain tracking is skipped inside the numerics libraries,
+         whose internals mix domains by design — exactly the R1/R7
+         exemption. *)
       let track_domains = not in_numerics in
-      let allocs = ref [] in
       let raises = ref [] in
       let eff_calls = ref [] in
       let seen_eff = Hashtbl.create 16 in
       let domain_sites = ref [] in
       let try_depth = ref 0 in
-      (* [(line, col)] of a let-bound right-hand side to the bound name,
-         so an allocation site is reported as the name it flows into. *)
-      let binding_names = Hashtbl.create 16 in
       (* Local float-domain environment: ident name to inferred domain. *)
       let dom_env = Hashtbl.create 16 in
 
@@ -693,25 +665,6 @@ let analyse ~(config : Lint.Config.t) ~path ~r8_applies ~session ~cmt_root
       in
 
       (* ---------- effect extraction ---------- *)
-      let alloc_default_name = function
-        | Summary.Alloc_closure -> "closure"
-        | Summary.Alloc_tuple -> "tuple"
-        | Summary.Alloc_record -> "record"
-        | Summary.Alloc_boxed_float -> "boxed"
-        | Summary.Alloc_array -> "array"
-        | Summary.Alloc_partial -> "partial"
-      in
-      let record_alloc loc kind =
-        let line, col = line_col loc in
-        let name =
-          match Hashtbl.find_opt binding_names (line_col loc) with
-          | Some n -> n
-          | None -> alloc_default_name kind
-        in
-        allocs :=
-          { Summary.a_line = line; a_col = col; a_kind = kind; a_name = name }
-          :: !allocs
-      in
       let record_raise loc exn =
         if !try_depth = 0 && not in_numerics then begin
           let line, col = line_col loc in
@@ -917,22 +870,6 @@ let analyse ~(config : Lint.Config.t) ~path ~r8_applies ~session ~cmt_root
               in
               record_raise e.exp_loc exn
             else begin
-              (if is_arrow (env_of e.exp_env) e.exp_type then
-                 record_alloc e.exp_loc Summary.Alloc_partial
-               else if List.mem name ref_names then
-                 let boxed =
-                   match args with
-                   | (_, Some (a : expression)) :: _ ->
-                       is_float (env_of a.exp_env) a.exp_type
-                   | _ -> false
-                 in
-                 record_alloc e.exp_loc
-                   (if boxed then Summary.Alloc_boxed_float
-                    else Summary.Alloc_record)
-               else if
-                 List.mem name array_maker_names
-                 && not (array_elem_is_float (env_of e.exp_env) e.exp_type)
-               then record_alloc e.exp_loc Summary.Alloc_array);
               if
                 (not (String.starts_with ~prefix:"Stdlib" name))
                 && not (String.starts_with ~prefix:"CamlinternalFormat" name)
@@ -965,7 +902,6 @@ let analyse ~(config : Lint.Config.t) ~path ~r8_applies ~session ~cmt_root
         match e.exp_desc with
         | Texp_ident (p, _, _) -> note_ident e.exp_loc p
         | Texp_function _ when not (List.memq e !spine_nodes) ->
-            record_alloc e.exp_loc Summary.Alloc_closure;
             let id = fresh_lam () in
             Hashtbl.replace lambda_at (line_col e.exp_loc) id;
             let captures = compute_captures e in
@@ -983,37 +919,11 @@ let analyse ~(config : Lint.Config.t) ~path ~r8_applies ~session ~cmt_root
             List.iter
               (fun vb ->
                 match vb.vb_pat.pat_desc with
-                | Tpat_var (id, _) ->
-                    Hashtbl.replace binding_names
-                      (line_col vb.vb_expr.exp_loc)
-                      (Ident.name id);
-                    if track_domains then
-                      Hashtbl.replace dom_env (Ident.name id)
-                        (eval_dom vb.vb_expr)
+                | Tpat_var (id, _) when track_domains ->
+                    Hashtbl.replace dom_env (Ident.name id)
+                      (eval_dom vb.vb_expr)
                 | _ -> ())
               vbs;
-            Tast_iterator.default_iterator.expr iterator e
-        | Texp_tuple _ ->
-            record_alloc e.exp_loc Summary.Alloc_tuple;
-            Tast_iterator.default_iterator.expr iterator e
-        | Texp_record _ ->
-            record_alloc e.exp_loc Summary.Alloc_record;
-            Tast_iterator.default_iterator.expr iterator e
-        | Texp_construct (_, _, cargs) ->
-            if
-              List.exists
-                (fun (a : expression) ->
-                  is_float (env_of a.exp_env) a.exp_type)
-                cargs
-            then record_alloc e.exp_loc Summary.Alloc_boxed_float;
-            Tast_iterator.default_iterator.expr iterator e
-        | Texp_array items ->
-            (* [[||]] is the preallocated empty atom, and float-array
-               literals are flat blocks outside R11's kind scope. *)
-            if
-              items <> []
-              && not (array_elem_is_float (env_of e.exp_env) e.exp_type)
-            then record_alloc e.exp_loc Summary.Alloc_array;
             Tast_iterator.default_iterator.expr iterator e
         | Texp_try _ ->
             (* Lexical raise guard.  The whole node (handler included) is
@@ -1076,13 +986,11 @@ let analyse ~(config : Lint.Config.t) ~path ~r8_applies ~session ~cmt_root
         Hashtbl.reset lambda_at;
         Hashtbl.reset captures_of;
         pending_callsites := [];
-        allocs := [];
         raises := [];
         eff_calls := [];
         Hashtbl.reset seen_eff;
         domain_sites := [];
         try_depth := 0;
-        Hashtbl.reset binding_names;
         Hashtbl.reset dom_env;
         let params, spine = peel_spine vb.vb_expr in
         param_levels := params;
@@ -1133,7 +1041,6 @@ let analyse ~(config : Lint.Config.t) ~path ~r8_applies ~session ~cmt_root
           List.rev !mutations,
           List.rev !lambdas,
           callsites,
-          List.rev !allocs,
           List.rev !raises,
           List.rev !eff_calls,
           List.rev !domain_sites,
@@ -1167,7 +1074,6 @@ let analyse ~(config : Lint.Config.t) ~path ~r8_applies ~session ~cmt_root
                               mutations,
                               lambdas,
                               callsites,
-                              allocs,
                               raises,
                               eff_calls,
                               domain_sites,
@@ -1183,7 +1089,6 @@ let analyse ~(config : Lint.Config.t) ~path ~r8_applies ~session ~cmt_root
                             mutations;
                             lambdas;
                             callsites;
-                            allocs;
                             raises;
                             eff_calls;
                             domain_sites;

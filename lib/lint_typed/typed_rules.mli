@@ -6,10 +6,10 @@
     yields both the R7/R8 findings for that file and the {!Summary.file}
     record — call edges, writes with lock context, the
     closure-capture data (lambdas, mutable captures, forwarding call
-    sites), and the effect data (boxed-allocation sites, unguarded
-    raise sites, candidate cross-domain float operations, return
-    domains) — that feeds the interprocedural R9-R13 analyses in
-    {!Callgraph}, {!Capture} and {!Effects}. *)
+    sites), and the effect data (unguarded raise sites, candidate
+    cross-domain float operations, return domains) — that feeds the
+    interprocedural R9, R10, R12 and R13 analyses in {!Callgraph},
+    {!Capture} and {!Effects}. *)
 
 type session
 (** Mutable compiler-libs state (load path, persistent-structure caches)
@@ -33,7 +33,7 @@ val domain_sink : config:Crossbar_lint.Config.t -> string -> bool
 
 val dotted_match : pattern:string -> string -> bool
 (** The matcher behind {!domain_sink}, exposed for the effect stage's
-    [hot_roots]/[r12_boundaries]/producer patterns: a bare component
+    [r12_boundaries]/producer patterns: a bare component
     matches any path ending there, a dotted pattern additionally requires
     the short (unmangled) name of the module right above the value. *)
 

@@ -1,6 +1,5 @@
 type t = { mutable sum : float; mutable compensation : float }
 
-(* lint: alloc=record -- one accumulator per fold, amortised over it *)
 let create () = { sum = 0.; compensation = 0. }
 
 let add acc x =

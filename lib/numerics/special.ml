@@ -56,7 +56,6 @@ let[@inline] permutations n k =
   if n < 0 || k < 0 then invalid_arg "Special.permutations: negative"
   else if k > n then 0.
   else begin
-    (* lint: alloc=product -- one scratch cell per falling factorial *)
     let product = ref 1. in
     for i = 0 to k - 1 do
       product := !product *. float_of_int (n - i)

@@ -1,4 +1,4 @@
-(* Fixture: five R1 violations, one legal exact-zero guard. *)
+(* Fixture: one R1 ordering (line 5), one legal exact-zero guard. *)
 
 let exactly_pi x = x = 3.14
 let not_half x = x <> 0.5

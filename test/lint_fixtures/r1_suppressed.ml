@@ -1,4 +1,4 @@
 (* Fixture: the violation below is acknowledged and suppressed. *)
 
 (* lint: disable=R1 — fixture demonstrating line suppression *)
-let exactly_pi x = x = 3.14
+let above_threshold x = x > 0.75

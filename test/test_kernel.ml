@@ -882,6 +882,13 @@ let test_arenas_bounded_per_domain () =
 (* Minor-heap words the calling domain allocates while [f] runs
    ([Gc.minor_words] counts the current domain only).
 
+   The cases below are what hold the combine path to its allocation
+   budget: the dense, square, strided and short-support combines at cap
+   256 allow at most 32 words each, and a recycling [solve_delta] at most
+   16 000.  test_serve's warm read, write and request-reader ceilings
+   and test_engine's zero-word [Telemetry.record] cover the serve and
+   telemetry paths.
+
    These gates assume the shipped build, the [release] profile that the
    root dune-workspace selects.  Under [--profile dev] every module is
    compiled with -opaque, [Lattice.unsafe_set] becomes an out-of-line

@@ -14,7 +14,6 @@ let fixture_config rules =
     rules;
     numerics_prefixes = [];
     r2_prefixes = [ "lint_fixtures" ];
-    r3_scope = Config.Paths [ "lint_fixtures" ];
     r4_prefixes = [ "lint_fixtures" ];
     r6_prefixes = [ "lint_fixtures/r6" ];
   }
@@ -33,25 +32,39 @@ let check_findings label expected findings =
     expected findings
 
 let test_r1_float_comparisons () =
-  check_findings "r1"
-    [ (Rule.R1, 3); (Rule.R1, 4); (Rule.R1, 5); (Rule.R1, 7); (Rule.R1, 8) ]
+  (* Only the magic-literal ordering; the float equalities on lines 3, 4,
+     7 and 8 are R7's. *)
+  check_findings "r1" [ (Rule.R1, 5) ]
     (lint_rule Rule.R1 [ "lint_fixtures/r1_float_eq.ml" ])
 
 let test_r1_suppression () =
-  check_findings "r1 suppressed" []
-    (lint_rule Rule.R1 [ "lint_fixtures/r1_suppressed.ml" ])
+  let fixture = "lint_fixtures/r1_suppressed.ml" in
+  check_findings "r1 suppressed" [] (lint_rule Rule.R1 [ fixture ]);
+  (* The same file with the directive turned into a plain comment, so the
+     line numbers stay put: the finding must come back at the code's line,
+     or the suppression above proved nothing. *)
+  let text = In_channel.with_open_bin fixture In_channel.input_all in
+  let plain =
+    String.split_on_char '\n' text
+    |> List.map (fun line ->
+           if String.starts_with ~prefix:"(* lint:" line then
+             "(* plain comment *)"
+           else line)
+    |> String.concat "\n"
+  in
+  let copy = Filename.temp_file "r1_unsuppressed" ".ml" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove copy)
+    (fun () ->
+      Out_channel.with_open_bin copy (fun oc ->
+          Out_channel.output_string oc plain);
+      check_findings "r1 unsuppressed" [ (Rule.R1, 4) ]
+        (lint_rule Rule.R1 [ copy ]))
 
 let test_r2_raw_transcendentals () =
   check_findings "r2"
     [ (Rule.R2, 3); (Rule.R2, 4); (Rule.R2, 5) ]
     (lint_rule Rule.R2 [ "lint_fixtures/r2_raw_exp.ml" ])
-
-let test_r3_toplevel_mutable_state () =
-  (* Two bare cells flagged; the domain-safe-annotated one and the
-     function-local ref are not. *)
-  check_findings "r3"
-    [ (Rule.R3, 3); (Rule.R3, 4) ]
-    (lint_rule Rule.R3 [ "lint_fixtures/r3_mutable_state.ml" ])
 
 let test_r4_stdout_writes () =
   check_findings "r4"
@@ -83,19 +96,18 @@ let fixture_tree_findings () =
 
 let test_whole_tree_totals () =
   let findings = fixture_tree_findings () in
-  (* 5 R1 + 3 R2 + 2 R3 + 2 R4 + 2 R5 + 1 R6; the typed rules R7-R10 need
-     .cmt artifacts and never fire from the Parsetree driver. *)
-  check_int "total" 15 (List.length findings);
+  (* 1 R1 + 3 R2 + 2 R4 + 2 R5 + 1 R6; the typed rules need .cmt
+     artifacts and never fire from the Parsetree driver. *)
+  check_int "total" 9 (List.length findings);
   List.iter
     (fun rule ->
       let expected =
         match rule with
-        | Rule.R1 -> 5
         | Rule.R2 -> 3
-        | Rule.R3 | Rule.R4 | Rule.R5 -> 2
-        | Rule.R6 -> 1
-        | Rule.R7 | Rule.R8 | Rule.R9 | Rule.R10 | Rule.R11 | Rule.R12
-        | Rule.R13 | Rule.Syntax ->
+        | Rule.R4 | Rule.R5 -> 2
+        | Rule.R1 | Rule.R6 -> 1
+        | Rule.R7 | Rule.R8 | Rule.R9 | Rule.R10 | Rule.R12 | Rule.R13
+        | Rule.Syntax ->
             0
       in
       check_int
@@ -143,7 +155,6 @@ let () =
           case "R1 float comparisons" test_r1_float_comparisons;
           case "R1 suppression comment" test_r1_suppression;
           case "R2 raw transcendentals" test_r2_raw_transcendentals;
-          case "R3 top-level mutable state" test_r3_toplevel_mutable_state;
           case "R4 stdout writes" test_r4_stdout_writes;
           case "R5 swallowed exceptions" test_r5_swallowed_exceptions;
           case "R6 missing interface" test_r6_missing_interface;

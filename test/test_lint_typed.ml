@@ -16,7 +16,7 @@ module Json = Crossbar_engine.Json
 
 (* Order is compile order: [pool.ml] first (the r10/r12 fixtures call
    it), each r9 module before the engine entry that references it, each
-   r11/r13 producer module before its consumer. *)
+   r13 producer module before its consumer. *)
 let fixture_files =
   [
     "pool.ml";
@@ -27,9 +27,6 @@ let fixture_files =
     "r10_capture.ml";
     "r10_indirect.ml";
     "r10_guarded.ml";
-    "r11_profile.ml";
-    "r11_hot.ml";
-    "r11_annotated.ml";
     "r12_raise.ml";
     "logspace.ml";
     "lattice.ml";
@@ -78,10 +75,8 @@ let typed_config ~dir rules =
     Config.default with
     rules;
     numerics_prefixes = [];
-    r3_scope = Config.Paths [ dir ];
+    pool_scope = Config.Paths [ dir ];
     r9_roots = [ dir ^ "/engine" ];
-    hot_roots =
-      [ "R11_hot.combine"; "R11_hot.unsafe_kernel"; "R11_annotated.hot" ];
   }
 
 let index dir =
@@ -234,36 +229,6 @@ let test_tree_annotations_present () =
       check_bool (file ^ " keeps " ^ directive) true (contains text directive))
     annotated_sites
 
-(* Every [alloc=] directive sanctioning a hot-path allocation in the
-   tree, with the minimum count per file.  The strip regression in
-   [test_r11_annotated_strip] proves the mechanism (remove a directive,
-   the finding returns at its site); this pins the real sites so losing
-   one fails here *and* in `dune build @lint`. *)
-let alloc_annotated_files =
-  [
-    ("../lib/core/convolution.ml", 14);
-    ("../lib/core/band_pool.ml", 3);
-    ("../lib/core/lattice.ml", 2);
-    ("../lib/core/model.ml", 1);
-    ("../lib/numerics/kahan.ml", 1);
-    ("../lib/numerics/special.ml", 1);
-  ]
-
-let test_tree_alloc_annotations_present () =
-  List.iter
-    (fun (file, expected) ->
-      let text = In_channel.with_open_bin file In_channel.input_all in
-      let count =
-        List.length
-          (List.filter
-             (fun line -> contains line "alloc=")
-             (String.split_on_char '\n' text))
-      in
-      check_bool
-        (Printf.sprintf "%s keeps >= %d alloc= directives" file expected)
-        true (count >= expected))
-    alloc_annotated_files
-
 let test_r9_higher_order () =
   let dir = Lazy.force rules_dir in
   let findings, _ =
@@ -275,60 +240,7 @@ let test_r9_higher_order () =
   check_bool "r9 ho: wrapper-run callbacks stay clean" true
     (not (mentions findings "counter"))
 
-(* ---------- v4 effect stage: R11, R12, R13 ---------- *)
-
-let test_r11_exact_count () =
-  let dir = Lazy.force rules_dir in
-  let findings, _ =
-    run ~dir [ Rule.R11 ] [ dir ^ "/r11_profile.ml"; dir ^ "/r11_hot.ml" ]
-  in
-  check_int "r11: count" 8 (List.length findings);
-  check_int "r11: all R11" 8 (count Rule.R11 findings);
-  (* Every boxed-allocation kind appears exactly where planted... *)
-  check_bool "r11: boxed float" true (mentions findings "boxed float (box)");
-  check_bool "r11: int ref is a record" true (mentions findings "record (cell)");
-  check_bool "r11: closure" true (mentions findings "closure (bump)");
-  check_bool "r11: tuple via the call chain" true
-    (mentions findings "R11_hot.combine -> R11_profile.pair allocates a tuple");
-  check_bool "r11: record via the call chain" true
-    (mentions findings "R11_hot.combine -> R11_profile.fresh allocates a record");
-  check_bool "r11: non-flat array" true (mentions findings "array (ints)");
-  check_bool "r11: partial application" true
-    (mentions findings "partial application (applied)");
-  check_bool "r11: closure over unsafe-access scratch" true
-    (mentions findings "closure (read)");
-  (* ...and nothing else: float arrays are flat, [off_path] is unreached. *)
-  check_bool "r11: float arrays stay clean" true
-    (not (mentions findings "flat"));
-  check_bool "r11: unsafe kernel scratch stays clean" true
-    (not (mentions findings "array (scratch)"));
-  check_bool "r11: unreached functions stay clean" true
-    (not (mentions findings "spare"))
-
-let test_r11_annotated_strip () =
-  let dir = scratch_dir "typed_scratch_effects" in
-  setup dir;
-  let target = dir ^ "/r11_annotated.ml" in
-  let findings, _ = run ~dir [ Rule.R11 ] [ target ] in
-  check_int "annotated: clean" 0 (List.length findings);
-  (* Reverting the alloc= directive must bring the allocation back at
-     exactly its site — the regression the directives in
-     lib/core/convolution.ml are protected by. *)
-  let text = In_channel.with_open_bin target In_channel.input_all in
-  let stripped =
-    String.split_on_char '\n' text
-    |> List.filter (fun line -> not (contains line "alloc="))
-    |> String.concat "\n"
-  in
-  Out_channel.with_open_bin target (fun oc ->
-      Out_channel.output_string oc stripped);
-  compile dir "r11_annotated.ml";
-  let findings, _ = run ~dir [ Rule.R11 ] [ target ] in
-  check_int "stripped: the allocation returns" 1 (List.length findings);
-  check_bool "stripped: names the cell" true
-    (mentions findings "boxed float (acc)");
-  check_bool "stripped: names the root" true
-    (mentions findings "R11_annotated.hot")
+(* ---------- v4 effect stage: R12, R13 ---------- *)
 
 let test_r12_exact_count () =
   let dir = Lazy.force rules_dir in
@@ -372,13 +284,11 @@ let test_r13_exact_count () =
   check_bool "r13: fixpoint iterated" true
     (stats.Typed.Driver.domain_iterations >= 1)
 
-let effect_rules = [ Rule.R11; Rule.R12; Rule.R13 ]
+let effect_rules = [ Rule.R12; Rule.R13 ]
 
 let effect_paths dir =
   [
     dir ^ "/pool.ml";
-    dir ^ "/r11_profile.ml";
-    dir ^ "/r11_hot.ml";
     dir ^ "/r12_raise.ml";
     dir ^ "/logspace.ml";
     dir ^ "/lattice.ml";
@@ -386,14 +296,13 @@ let effect_paths dir =
   ]
 
 let test_effects_one_run () =
-  (* All three effect rules over the seven effect fixtures in one run,
+  (* Both effect rules over the five effect fixtures in one run,
      as `dune build @lint` runs them: each rule keeps its exact count,
      and both effect fixpoints iterate at least once — a zero would mean
      R12 or R13 silently skipped its closure. *)
   let dir = Lazy.force rules_dir in
   let findings, stats = run ~dir effect_rules (effect_paths dir) in
-  check_int "effects: analysed" 7 stats.Typed.Driver.files;
-  check_int "effects: r11" 8 (count Rule.R11 findings);
+  check_int "effects: analysed" 5 stats.Typed.Driver.files;
   check_int "effects: r12" 2 (count Rule.R12 findings);
   check_int "effects: r13" 6 (count Rule.R13 findings);
   check_bool "effects: raise fixpoint iterated" true
@@ -410,7 +319,7 @@ let test_whole_dir_and_edit () =
   let dir = scratch_dir "typed_scratch_whole" in
   setup dir;
   let findings, stats = run ~dir [ Rule.R7 ] [ dir ] in
-  check_int "dir: files" 17 stats.Typed.Driver.files;
+  check_int "dir: files" 14 stats.Typed.Driver.files;
   check_bool "dir: no missing cmt" true (stats.Typed.Driver.missing_cmt = []);
   check_int "dir: r7 findings" 5 (List.length findings);
   let target = dir ^ "/r7_float_eq.ml" in
@@ -424,12 +333,12 @@ let test_overlapping_paths () =
   (* A file named both through its directory and on its own is analysed
      once: same file count, same findings as the directory alone. *)
   let dir = Lazy.force rules_dir in
-  let rules = [ Rule.R7; Rule.R10; Rule.R11; Rule.R12; Rule.R13 ] in
+  let rules = [ Rule.R7; Rule.R10; Rule.R12; Rule.R13 ] in
   let alone, alone_stats = run ~dir rules [ dir ] in
   let both, both_stats = run ~dir rules [ dir; dir ^ "/r7_float_eq.ml" ] in
   check_int "overlap: files" alone_stats.Typed.Driver.files
     both_stats.Typed.Driver.files;
-  check_int "overlap: 17 files" 17 both_stats.Typed.Driver.files;
+  check_int "overlap: 14 files" 14 both_stats.Typed.Driver.files;
   check_bool "overlap: findings" true (alone = both)
 
 (* ---------- SARIF ---------- *)
@@ -458,20 +367,26 @@ let test_sarif_document_shape () =
                     (Json.member "name" driver
                     = Some (Json.String "crossbar-lint"));
                   (* The driver carries the whole catalogue, findings or
-                     not — R11-R13 must be advertised to SARIF viewers. *)
+                     not — the typed rules must be advertised to SARIF
+                     viewers, and the retired ids must not. *)
                   let rule_ids =
                     match Json.member "rules" driver with
                     | Some (Json.List rules) ->
                         List.filter_map (Json.member "id") rules
                     | _ -> []
                   in
-                  check_int "driver rules: full catalogue" 13
+                  check_int "driver rules: full catalogue" 11
                     (List.length rule_ids);
                   List.iter
                     (fun id ->
                       check_bool ("driver rules include " ^ id) true
                         (List.mem (Json.String id) rule_ids))
-                    [ "R11"; "R12"; "R13" ]
+                    [ "R7"; "R12"; "R13" ];
+                  List.iter
+                    (fun id ->
+                      check_bool ("driver rules omit " ^ id) false
+                        (List.mem (Json.String id) rule_ids))
+                    [ "R3"; "R11" ]
               | None -> Alcotest.fail "missing tool.driver")
           | None -> Alcotest.fail "missing tool");
           match Json.member "results" run with
@@ -523,7 +438,7 @@ let config_gen =
       ordering_literals;
       numerics_prefixes;
       r2_prefixes;
-      r3_scope =
+      pool_scope =
         (if scope_is_paths then Config.Paths scope_prefixes
          else Config.Reachable_from scope_prefixes);
       r9_roots;
@@ -560,9 +475,15 @@ let test_parse_list () =
   | Ok [ Rule.R1; Rule.R9 ] -> ()
   | Ok _ -> Alcotest.fail "parse_list R1,R9: wrong rules"
   | Error m -> Alcotest.failf "parse_list R1,R9 failed: %s" m);
-  (match Rule.parse_list " R2 , R3 " with
-  | Ok [ Rule.R2; Rule.R3 ] -> ()
+  (match Rule.parse_list " R2 , R4 " with
+  | Ok [ Rule.R2; Rule.R4 ] -> ()
   | _ -> Alcotest.fail "parse_list tolerates spaces");
+  List.iter
+    (fun retired ->
+      match Rule.parse_list retired with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "parse_list accepted retired %s" retired)
+    [ "R3"; "R11" ];
   (match Rule.parse_list "R1,R99" with
   | Error m ->
       check_bool "unknown rule named" true
@@ -612,8 +533,8 @@ let test_cli_malformed_rules_exits_2 () =
   check_int "missing argument" 2 (cli_status "--rules")
 
 let test_cli_effect_rules_need_typed () =
-  (* R11-R13 are closed over .cmt-derived summaries; asking for them
-     without --typed would silently lint nothing, so the CLI refuses. *)
+  (* The typed rules read .cmt artifacts; asking for them without
+     --typed would silently lint nothing, so the CLI refuses. *)
   List.iter
     (fun rules ->
       let status, err = cli_run ("--rules " ^ rules) in
@@ -621,7 +542,7 @@ let test_cli_effect_rules_need_typed () =
       check_bool
         (rules ^ ": stderr names --typed")
         true (contains err "--typed"))
-    [ "R11"; "R12"; "R13"; "R1,R12" ]
+    [ "R7"; "R8"; "R9"; "R10"; "R12"; "R13"; "R1,R12" ]
 
 let () =
   Alcotest.run "lint_typed"
@@ -643,12 +564,8 @@ let () =
         ] );
       ( "effect stage",
         [
-          case "R11 hot-path allocations" test_r11_exact_count;
-          case "R11 alloc= directive and strip" test_r11_annotated_strip;
           case "R12 escaping raises" test_r12_exact_count;
           case "R13 cross-domain arithmetic" test_r13_exact_count;
-          case "tree alloc= annotations present"
-            test_tree_alloc_annotations_present;
         ] );
       ( "uncached analysis",
         [
