@@ -57,10 +57,13 @@ let domains_arg =
     & info [ "domains" ] ~docv:"N"
         ~doc:
           "Fan each batch's tree groups out over at most $(docv) domains \
-           (the engine pool's width).  Banded combines inside a solve do \
-           not follow this flag: they split into CROSSBAR_DOMAINS bands, \
-           else one per recommended domain.  Default: CROSSBAR_DOMAINS, \
-           else the machine's recommended domain count.")
+           (the engine pool's width).  Without --capacity only: with \
+           it, every batch is served in arrival order on one domain, so \
+           an evicted tree is recycled at once.  Banded \
+           combines inside a solve do not follow this flag: they split \
+           into CROSSBAR_DOMAINS bands, else one per recommended domain.  \
+           Default: CROSSBAR_DOMAINS, else the machine's recommended \
+           domain count.")
 
 let batch_limit_arg =
   Arg.(

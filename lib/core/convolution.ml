@@ -1307,7 +1307,7 @@ let solve_delta ?(recycle = false) ~previous model =
    its child, carried upward, so releasing it once at its home position
    is both necessary and sufficient), and the diagonal.  The caller must
    guarantee nothing else references [t] — e.g. a serve registry entry
-   evicted once the batch that evicted it has fully drained. *)
+   as it is evicted, since only a batch served on one domain evicts. *)
 let recycle t =
   let arena = arena t.ctx in
   let levels = t.tree.Factor_tree.levels in

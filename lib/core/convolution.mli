@@ -281,8 +281,8 @@ val recycle : t -> unit
     process-wide per switch shape, so the next build of that shape
     acquires the recycled profiles instead of allocating.  The caller
     must guarantee nothing else references [t]: e.g. the serve registry
-    recycles an evicted tree only after the batch that evicted it has
-    fully drained. *)
+    recycles a tree as it is evicted, because the batcher serves every
+    batch that can evict on one domain. *)
 
 val model : t -> Model.t
 

@@ -125,13 +125,6 @@ module Memo = struct
             t.misses <- t.misses + 1;
             None)
 
-  let mem t key =
-    (* A residency probe, not a use: neither counter moves and the
-       entry's recency is untouched, so callers can inspect the table
-       (e.g. the serve registry deciding whether a parked eviction is
-       stale) without perturbing LRU order or hit-rate statistics. *)
-    locked t (fun () -> Hashtbl.mem t.table key)
-
   let set t key value =
     let victims =
       locked t (fun () ->

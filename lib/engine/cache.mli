@@ -21,9 +21,8 @@ type key = string
     results.  For models, see {!key_of_model}. *)
 
 (** Generic string-keyed memo table.  The solver cache below is one
-    instantiation; the incremental lint driver
-    ([Crossbar_lint_typed.Driver]) is another, memoising per-file typed
-    analyses under a source+artifact digest. *)
+    instantiation; the serve registry ([Crossbar_serve.Registry]) is the
+    other, holding named factor trees under an LRU capacity. *)
 module Memo : sig
   type 'a t
 
@@ -55,14 +54,6 @@ module Memo : sig
       computing anything on absence — for callers like the serve
       registry whose recovery from a miss is an error response, not a
       recomputation. *)
-
-  val mem : 'a t -> key -> bool
-  (** Residency probe: whether [key] is currently in the table, without
-      counting a hit or a miss and without refreshing recency — unlike
-      {!find}, it leaves both the statistics and the LRU order exactly
-      as they were.  For callers that need to ask "is this name resident
-      {e now}?" as a pure observation (the serve registry uses it to
-      detect a tree reinstalled after a capacity eviction). *)
 
   val set : 'a t -> key -> 'a -> unit
   (** Insert-or-replace, marking the entry most recently used.  A fresh

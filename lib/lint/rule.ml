@@ -61,12 +61,14 @@ let parse_list text =
                 R1,R5"
                text)
         else
+          (* R0 cannot be selected: it always runs, so a list naming
+             only it would lint for nothing. *)
           match of_string piece with
-          | Some rule -> Ok (rule :: acc)
-          | None ->
+          | Some Syntax | None ->
               Error
                 (Printf.sprintf "unknown rule id %S (valid ids: %s)" piece
-                   (valid_ids ())))
+                   (valid_ids ()))
+          | Some rule -> Ok (rule :: acc))
       (Ok [])
       (String.split_on_char ',' text)
   in

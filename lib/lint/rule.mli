@@ -31,15 +31,17 @@ val to_string : id -> string
 (** ["R0"] for [Syntax], ["R1"], ["R2"], ... otherwise. *)
 
 val of_string : string -> id option
-(** Inverse of {!to_string} for the real rules; ["R0"] and unknown ids
-    yield [None]. *)
+(** Inverse of {!to_string}, case-insensitive: ["R0"] (or ["SYNTAX"])
+    yields [Syntax], so a report's syntax findings read back; unknown
+    ids yield [None]. *)
 
 val parse_list : string -> (id list, string) result
 (** Parses a comma-separated rule list ("R1,R5").  Unlike {!of_string}
     folded over the pieces, this fails loudly: an unknown id is an error
     naming the offending token and the valid ids, and empty pieces
     ("R1,,R2", a trailing comma, or an empty list) are syntax errors
-    rather than silently dropped. *)
+    rather than silently dropped.  ["R0"]/["SYNTAX"] count as unknown:
+    the syntax check always runs and cannot be selected. *)
 
 val title : id -> string
 (** One-line statement of the invariant. *)

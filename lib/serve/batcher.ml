@@ -220,66 +220,71 @@ let handle ~registry ~telemetry ~domains (request : Protocol.request) =
   response
 
 let execute ?domains ~registry ~telemetry (requests : Protocol.request array) =
-  let n = Array.length requests in
   let width =
     match domains with Some d -> d | None -> Pool.recommended_domains ()
   in
   (* Every slot is overwritten below. *)
-  let responses = Array.make n (Protocol.error_response ~id:Json.Null "") in
-  (* Group request indices by target tree, arrival order preserved
-     within each tree.  Stats/shutdown have no tree; they run in the
-     caller's domain after the tree groups complete, so a stats
-     response reflects the batch it arrived with. *)
-  let by_tree : (string, int list) Hashtbl.t = Hashtbl.create 8 in
-  let control = ref [] in
-  Array.iteri
-    (fun i request ->
-      match Protocol.tree_name request.Protocol.query with
-      | Some tree ->
-          let tail =
-            Option.value ~default:[] (Hashtbl.find_opt by_tree tree)
-          in
-          Hashtbl.replace by_tree tree (i :: tail)
-      | None -> control := i :: !control)
-    requests;
+  let responses =
+    Array.make (Array.length requests)
+      (Protocol.error_response ~id:Json.Null "")
+  in
+  let serve i =
+    responses.(i) <- handle ~registry ~telemetry ~domains:width requests.(i)
+  in
+  let has_tree (request : Protocol.request) =
+    Option.is_some (Protocol.tree_name request.Protocol.query)
+  in
+  let serve_if keep =
+    Array.iteri (fun i request -> if keep request then serve i) requests
+  in
+  (* Group request indices by target tree, in first-arrival order of the
+     trees and arrival order within each. *)
+  let group () =
+    let by_tree : (string, int list ref) Hashtbl.t = Hashtbl.create 8 in
+    let trees = ref [] in
+    Array.iteri
+      (fun i request ->
+        Option.iter
+          (fun tree ->
+            match Hashtbl.find_opt by_tree tree with
+            | Some indices -> indices := i :: !indices
+            | None ->
+                let indices = ref [ i ] in
+                Hashtbl.add by_tree tree indices;
+                trees := indices :: !trees)
+          (Protocol.tree_name request.Protocol.query))
+      requests;
+    Array.of_list (List.rev_map (fun l -> List.rev !l) !trees)
+  in
+  (* Only an unbounded registry fans out: it never evicts, so each group
+     depends only on its own tree (and LRU recency cannot show). *)
   let groups =
-    Array.of_list
-      (List.sort
-         (fun (a, _) (b, _) -> String.compare a b)
-         (Hashtbl.fold
-            (fun tree indices acc -> (tree, List.rev indices) :: acc)
-            by_tree []))
+    if width > 1 && Option.is_none (Registry.capacity registry) then group ()
+    else [||]
   in
-  (* Per-tree worker sharding: each group walks its requests in arrival
-     order on one pool worker; distinct trees run concurrently.  Results
-     scatter back by request index, so responses are index-aligned no
-     matter which domain served which tree. *)
-  let group_responses =
-    (* lint: guarded=groups,requests — both frozen before the pool starts *)
+  if Array.length groups < 2 then
+    (* Arrival order on this domain: exactly one-at-a-time serving, so
+       a capacity eviction happens where it would one request at a time
+       and never while another domain reads the evicted tree. *)
+    serve_if has_tree
+  else
+    (* The groups fan out, one per task, each in arrival order.
+       [groups] and [requests] are frozen before the pool starts, and
+       each response slot is written by the one task serving its
+       tree. *)
+    (* lint: guarded=groups,requests,responses — one task per slot *)
     Pool.run ~domains:width ~tasks:(Array.length groups) (fun g ->
-        let _, indices = groups.(g) in
-        List.map
-          (fun i ->
-            (i, handle ~registry ~telemetry ~domains:width requests.(i)))
-          indices)
+        List.iter serve groups.(g))
+    |> ignore;
+  (* Stats/shutdown run on this domain after the tree requests, so a
+     stats response reflects the batch it arrived with. *)
+  serve_if (fun request -> not (has_tree request));
+  let shutdown =
+    Array.exists
+      (fun (request : Protocol.request) ->
+        match request.Protocol.query with
+        | Protocol.Shutdown -> true
+        | _ -> false)
+      requests
   in
-  Array.iter
-    (List.iter (fun (i, response) -> responses.(i) <- response))
-    group_responses;
-  let shutdown = ref false in
-  List.iter
-    (fun i ->
-      (match requests.(i).Protocol.query with
-      | Protocol.Shutdown -> shutdown := true
-      | _ -> ());
-      responses.(i) <- handle ~registry ~telemetry ~domains:width requests.(i))
-    (List.rev !control);
-  (* Quiescent point: [Pool.run] returned, so [Band_pool.run_tasks]
-     beneath it has collected every band's [done_] flag.  A band
-     finishes only once every task has and it has left the nested
-     combine bands it lent to, so no worker still runs anything of this
-     batch, and the control requests above ran on this domain.  Trees evicted by capacity pressure during this batch
-     therefore have no remaining readers and their lattices can go back
-     to the arenas. *)
-  ignore (Registry.recycle_evicted registry : int);
-  { responses; shutdown = !shutdown }
+  { responses; shutdown }

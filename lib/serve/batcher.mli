@@ -4,16 +4,18 @@
     being served.  [execute] groups them by target tree — so a delta's
     single [O(#changed log R)] recombine, and the hot tree it updates,
     serve every query queued behind it instead of each query re-solving
-    — and fans the per-tree groups out across an {!Crossbar_engine.Pool}
-    (per-tree worker sharding: requests for one tree run sequentially in
-    arrival order; distinct trees run concurrently).
+    — and, when the registry is unbounded, fans the per-tree groups out
+    across an {!Crossbar_engine.Pool} (per-tree worker sharding:
+    requests for one tree run sequentially in arrival order; distinct
+    trees run concurrently).  With a capacity, every batch is served in
+    arrival order on the calling domain instead.
 
     Determinism: responses come back index-aligned with the request
-    array, and each group's work depends only on the registry state and
-    its own requests, so a batch's responses are bit-identical to
-    serving the same requests one at a time — the property test_serve
-    and perfbench's serve-admit oracle check byte for byte.  The daemon
-    loop ([Server.run]) calls [execute] inline, one batch at a time. *)
+    array and are bit-identical to serving the same requests one at a
+    time, capacity evictions included — the property
+    test_serve and perfbench's serve-admit oracle check byte for byte.
+    The daemon loop ([Server.run]) calls [execute] inline, one batch at
+    a time. *)
 
 type outcome = {
   responses : Protocol.response array;
@@ -41,9 +43,11 @@ val execute :
     [domains] bounds the pool
     (default {!Crossbar_engine.Pool.recommended_domains}).
 
-    Once the pool run has returned — {!Crossbar.Band_pool.run_tasks}
-    has collected every band's completion flag, and a band finishes
-    only after the last task and every nested band it lent to have, so
-    no worker still runs anything of this batch — the registry's capacity-evicted trees are
-    drained via {!Registry.recycle_evicted}: the end of a batch is the
-    daemon's quiescent point. *)
+    The batch is served in arrival order on the calling domain when
+    [domains] is 1, when it names fewer than two trees, or when the
+    registry has a capacity.  Only a bounded registry evicts, so an
+    evicted tree is never read by another domain and the registry
+    recycles it at once.  Any other batch fans its tree groups out in
+    first-arrival order; with nothing evicted, the LRU order cannot
+    show.  [stats] and [shutdown] run on the calling domain after the
+    tree requests. *)

@@ -5,81 +5,17 @@ module Convolution = Crossbar.Convolution
 
 type entry = { model : Model.t; solved : Convolution.t }
 
-type t = {
-  memo : entry Memo.t;
-  capacity : int option;
-  (* Capacity evictions are parked here (with their name) rather than
-     recycled inline: the Memo callback fires on whichever domain
-     triggered the displacement, possibly while batch workers still
-     read the evicted tree.  [recycle_evicted] drains the list at a
-     quiescent point, where the name decides whether the parked tree is
-     actually dead (see below). *)
-  evicted_lock : Mutex.t;
-  evicted : (string * entry) list ref;
-  (* Names [remove]d since the last drain, under [evicted_lock]: their
-     parked trees, if any, are dropped at drain, never recycled. *)
-  removed : string list ref;
-}
+type t = { memo : entry Memo.t; capacity : int option }
 
+(* The batcher fans a batch out over domains only when the registry is
+   unbounded, so an eviction runs on the one domain serving the batch
+   and nothing else reads the displaced tree: its lattices go straight
+   back to the arenas. *)
 let create ?capacity () =
-  let evicted_lock = Mutex.create () in
-  let evicted = ref [] in
-  let on_evict name entry =
-    Mutex.lock evicted_lock;
-    evicted := (name, entry) :: !evicted;
-    Mutex.unlock evicted_lock
-  in
-  {
-    memo = Memo.create ?capacity ~on_evict ();
-    capacity;
-    evicted_lock;
-    evicted;
-    removed = ref [];
-  }
+  let on_evict _ entry = Convolution.recycle entry.solved in
+  { memo = Memo.create ?capacity ~on_evict (); capacity }
 
-let remove t name =
-  Memo.remove t.memo name;
-  Mutex.lock t.evicted_lock;
-  t.removed := name :: !(t.removed);
-  Mutex.unlock t.evicted_lock
-
-let recycle_evicted t =
-  let drained, removed =
-    Mutex.lock t.evicted_lock;
-    let drained = !(t.evicted) and removed = !(t.removed) in
-    t.evicted := [];
-    t.removed := [];
-    Mutex.unlock t.evicted_lock;
-    (drained, removed)
-  in
-  (* An eviction can race a concurrent install/delta of the same name:
-     the Memo displaces tree Y between another group's [find Y] and its
-     [replace], so by drain time Y is resident again and the parked
-     pre-delta tree shares unchanged nodes with the live one (and
-     [solve_delta ~recycle:true] already released its superseded
-     nodes).  Recycling it would push live and duplicate lattices into
-     the arena free lists, corrupting later solves — so a parked entry
-     is only recycled when its name is dead at drain time.  Same logic
-     keeps only the newest parked entry per name ([drained] is
-     newest-first): an older parked generation shares nodes with every
-     newer one built from it by delta.  Dropped entries leak at worst
-     (names shard trees — no cross-name sharing), never corrupt.  A
-     [remove]d name counts as seen from the start: a failed re-solve may
-     have recycled part of the tree its eviction parked. *)
-  let seen = Hashtbl.create 8 in
-  List.iter (fun name -> Hashtbl.replace seen name ()) removed;
-  List.fold_left
-    (fun recycled (name, { solved; _ }) ->
-      if Hashtbl.mem seen name then recycled
-      else begin
-        Hashtbl.add seen name ();
-        if Memo.mem t.memo name then recycled
-        else begin
-          Convolution.recycle solved;
-          recycled + 1
-        end
-      end)
-    0 drained
+let remove t name = Memo.remove t.memo name
 
 let find t name = Memo.find t.memo name
 let replace t ~name entry = Memo.set t.memo name entry

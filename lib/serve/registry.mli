@@ -8,10 +8,12 @@
     client re-installs with [solve] (the registry cannot re-derive a
     model from a name).
 
-    Evicted trees are not discarded: their lattices are parked and
-    returned to the convolution arenas by {!recycle_evicted}, which the
-    batcher calls between batches — so a capacity-bounded daemon under
-    install churn recycles storage instead of growing the heap. *)
+    An evicted tree's lattices go back to the convolution arenas the
+    moment it is displaced, so a capacity-bounded daemon under install
+    churn recycles storage instead of growing the heap.  That is safe
+    because the batcher serves every batch of a capacity-bounded
+    registry on one domain ([Batcher.execute]): no other domain reads a
+    tree as it is evicted. *)
 
 type entry = {
   model : Crossbar.Model.t;
@@ -34,8 +36,8 @@ val install : t -> name:string -> Crossbar.Model.t -> entry * bool
     is [true]; a cold or shape-changing install performs a full build
     and returns [false].  Either warm path recycles the superseded
     tree's lattices into the convolution arenas (safe because the
-    batcher shards requests per tree: nothing else reads the entry
-    being replaced).
+    batcher serves one tree's requests on one domain: nothing else
+    reads the entry being replaced).
     @raise Failure as {!Crossbar.Convolution.solve}.  The warm paths
     recycle before the solve can fail, so after a failure [name] may
     still map to released lattices: the caller must {!remove} it. *)
@@ -51,25 +53,7 @@ val replace : t -> name:string -> entry -> unit
 val remove : t -> string -> unit
 (** Forget [name] after a failed solve or delta, whose previous tree may
     be partly recycled already; later reads answer "unknown tree".  Not
-    an eviction: the tree is neither counted nor parked, and a tree of
-    that name parked since the last drain is dropped, not recycled. *)
-
-val recycle_evicted : t -> int
-(** Drain the trees displaced by capacity pressure since the last call,
-    returning each one's lattices to the convolution arenas via
-    {!Crossbar.Convolution.recycle}; yields the number recycled.  Call
-    only at a quiescent point — after the batch's pool run has collected
-    every worker band — since an in-flight query may still be reading a
-    just-evicted tree.
-
-    A parked tree whose name is resident again at drain time is dropped
-    instead of recycled: an eviction that raced a concurrent
-    install/delta of the same name leaves the parked pre-delta tree
-    sharing nodes with the live reinstalled one, so recycling it would
-    release live lattices.  Likewise only the newest parked generation
-    of a name is recycled when the same name was displaced more than
-    once between drains.  Dropped entries may leak a few lattices;
-    they never corrupt the arenas. *)
+    an eviction: the tree is neither counted nor recycled. *)
 
 val size : t -> int
 (** Resident tree count. *)

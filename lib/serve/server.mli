@@ -56,8 +56,11 @@ type config = {
       (** registry LRU capacity — resident hot trees ({!Registry.create}) *)
   domains : int option;
       (** most domains one batch's tree groups fan out over (default
-          {!Crossbar_engine.Pool.recommended_domains}); banded combines
-          follow [CROSSBAR_DOMAINS] or the core count instead *)
+          {!Crossbar_engine.Pool.recommended_domains}).  Only an unbounded
+          registry fans out: with a [capacity], every batch is served in
+          arrival order on the loop's domain, and an evicted tree is
+          recycled at once ({!Batcher.execute}).  Banded combines follow
+          [CROSSBAR_DOMAINS] or the core count instead *)
   batch_limit : int;  (** max requests served as one batch *)
 }
 

@@ -4,10 +4,13 @@
 # through the Unix-domain socket.  Round 1 also sends an admit with its
 # fields reordered, spaces and an unknown field (read by the direct
 # request reader) and a line with a bad op (read by the JSON parser,
-# which writes the error).  Any other ok:false response, missing
-# response, or hung daemon fails the script.
+# which writes the error).  A round at --capacity 1 --domains 2 then
+# sends one batch whose second solve evicts the first tree before a read
+# of it.  Any other ok:false response, missing response, or hung daemon
+# fails the script.
 #
 # Usage: scripts/serve_smoke.sh [path-to-crossbar_serve.exe] [output.jsonl]
+# (the output file ends up holding the capacity round's responses)
 #
 # The output file defaults to a temp path removed on exit, so a smoke
 # run never leaves artifacts in the working tree (CI asserts this).
@@ -117,6 +120,48 @@ else
   fi
 fi
 echo "stdin round: 9/9 answered, 8 ok and the bad op refused"
+
+# ---- capacity round: a batch that evicts is served in arrival order ----
+# With room for one tree, installing b evicts a before the read of a
+# queued behind it, so that read answers "unknown tree" exactly as it
+# would one request at a time, and stats counts the one eviction.
+status=0
+printf '%s\n' \
+  "{\"id\":1,\"op\":\"solve\",\"tree\":\"a\",\"model\":$MODEL}" \
+  "{\"id\":2,\"op\":\"solve\",\"tree\":\"b\",\"model\":$MODEL}" \
+  '{"id":3,"op":"blocking","tree":"a"}' \
+  '{"id":4,"op":"stats"}' \
+  '{"id":5,"op":"shutdown"}' |
+  timeout 60 "$SERVE" --capacity 1 --domains 2 > "$OUT" || status=$?
+if [ "$status" -ne 0 ]; then
+  echo "FATAL: the capacity round's daemon exited with status $status" >&2
+  cat "$OUT" >&2
+  exit 1
+fi
+lines=$(wc -l < "$OUT")
+if [ "$lines" -ne 5 ]; then
+  echo "FATAL: expected 5 responses in the capacity round, got $lines" >&2
+  cat "$OUT" >&2
+  exit 1
+fi
+for id in 1 2 5; do
+  if ! grep -q "^{\"id\":$id,\"ok\":true," "$OUT"; then
+    echo "FATAL: request $id of the capacity round was not answered ok:true:" >&2
+    cat "$OUT" >&2
+    exit 1
+  fi
+done
+if ! grep -q '^{"id":3,"ok":false,"error":"unknown tree \\"a\\"' "$OUT"; then
+  echo "FATAL: the read of the evicted tree a (id 3) did not answer unknown tree:" >&2
+  cat "$OUT" >&2
+  exit 1
+fi
+if ! grep '^{"id":4,' "$OUT" | grep -q '"registry":{[^}]*"evictions":1[,}]'; then
+  echo "FATAL: stats (id 4) does not report exactly one eviction:" >&2
+  cat "$OUT" >&2
+  exit 1
+fi
+echo "capacity round: the evicted tree is unknown to the read behind its eviction"
 
 # ---- round 2: same stream through the Unix-domain socket ----
 if ! command -v python3 >/dev/null 2>&1; then

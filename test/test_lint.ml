@@ -147,6 +147,31 @@ let test_json_report_rejects_wrong_schema () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted a report with the wrong schema"
 
+let test_rules_flag_refuses_syntax () =
+  (* The syntax check always runs, so naming it alone would lint for
+     nothing: R0 is refused like an unknown id. *)
+  List.iter
+    (fun spec ->
+      match Rule.parse_list spec with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "parse_list accepted %S" spec)
+    [ "R0"; "SYNTAX"; "r0"; "R1,R0" ];
+  (* A report's syntax findings still read back. *)
+  check_bool "of_string maps R0 to the syntax pseudo-rule" true
+    (match Rule.of_string "R0" with Some Rule.Syntax -> true | _ -> false);
+  check_int "CLI exit code" 2
+    (Sys.command
+       "../bin/crossbar_lint.exe --rules R0 lint_fixtures/r1_float_eq.ml \
+        >/dev/null 2>&1")
+
+let test_default_config_is_lint_json () =
+  (* lint.json is regenerated with --dump-config, which prints the
+     compiled-in default this way; the two must not drift apart. *)
+  Alcotest.(check string)
+    "lint.json is the dumped default"
+    (In_channel.with_open_bin "../lint.json" In_channel.input_all)
+    (Json.to_string (Config.to_json Config.default) ^ "\n")
+
 let () =
   Alcotest.run "lint"
     [
@@ -165,5 +190,10 @@ let () =
         [
           case "report roundtrip" test_json_report_roundtrip;
           case "rejects wrong schema" test_json_report_rejects_wrong_schema;
+        ] );
+      ( "config",
+        [
+          case "rules flag refuses R0" test_rules_flag_refuses_syntax;
+          case "default config is lint.json" test_default_config_is_lint_json;
         ] );
     ]

@@ -705,144 +705,51 @@ let test_registry_lru_eviction () =
         | _ -> false)
   | _ -> Alcotest.fail "stats_json must be an object"
 
+(* The registry's eviction count, as [stats] reports it. *)
+let evictions registry =
+  match Json.member "evictions" (Registry.stats_json registry) with
+  | Some (Json.Int n) -> n
+  | _ -> Alcotest.fail "stats_json must report evictions"
+
 let test_registry_eviction_recycles () =
   let registry = Registry.create ~capacity:2 () in
   let model = small_model () in
-  ignore (Registry.install registry ~name:"a" model);
-  ignore (Registry.install registry ~name:"b" model);
-  check_int "nothing parked below capacity" 0
-    (Registry.recycle_evicted registry);
-  ignore (Registry.install registry ~name:"c" model);
-  check_int "the displaced tree is parked and drained" 1
-    (Registry.recycle_evicted registry);
-  check_int "draining empties the list" 0 (Registry.recycle_evicted registry);
-  match Registry.find registry "c" with
-  | None -> Alcotest.fail "c must be resident"
-  | Some { Registry.solved; _ } ->
-      (* Same-shape installs share a context (and so this domain's
-         arena): once eviction recycling primes the free list, churning
-         installs stop creating lattices — the whole loop runs in
-         recycled storage. *)
-      let arena =
-        Convolution.arena
-          (Convolution.Factor_tree.context (Convolution.tree solved))
-      in
-      (* Snapshot before the churn: "c" itself will be evicted and its
-         lattices recycled, so the entry must not be read afterwards. *)
-      let reference_log_g = Convolution.log_normalization solved in
-      let drained = ref 0 in
-      let created_after_warmup = ref 0 in
-      let warm = 2 in
-      for i = 0 to 9 do
-        ignore (Registry.install registry ~name:(Printf.sprintf "n%d" i) model);
-        drained := !drained + Registry.recycle_evicted registry;
-        if i = warm then created_after_warmup := Convolution.Arena.created arena
-      done;
-      check_int "every churn install displaced one tree" 10 !drained;
-      check_int "arena creations plateau under churn" !created_after_warmup
-        (Convolution.Arena.created arena);
-      check_bool "recycled lattices are reused" true
-        (Convolution.Arena.reused arena > 0);
-      (* Recycling is bit-invisible: a solve drawing on the recycled
-         free list matches the solve that ran before any eviction. *)
-      let last, _ = Registry.install registry ~name:"last" model in
-      check_bool "post-churn solve bit-identical" true
-        (Int64.equal
-           (Int64.bits_of_float
-              (Convolution.log_normalization last.Registry.solved))
-           (Int64.bits_of_float reference_log_g))
-
-let blocking_bits solved =
-  Array.map
-    (fun (c : Measures.per_class) -> Int64.bits_of_float c.Measures.blocking)
-    (Convolution.measures solved).Measures.per_class
-
-let test_registry_eviction_race_with_replace () =
-  (* The batcher race: a capacity eviction of tree "a" lands between a
-     group's [find "a"] and its [replace], so by drain time "a" is
-     resident again and the parked pre-delta tree shares unchanged
-     nodes with the live one (its superseded nodes already released by
-     [solve_delta ~recycle:true]).  The drain must drop it, not recycle
-     it — recycling would push live lattices into the free lists. *)
-  let registry = Registry.create ~capacity:2 () in
-  let model = small_model () in
-  ignore (Registry.install registry ~name:"a" model);
-  (* The delta group's [find], before the displacement. *)
-  let held =
-    match Registry.find registry "a" with
-    | Some entry -> entry
-    | None -> Alcotest.fail "a must be resident"
+  let first, _ = Registry.install registry ~name:"a" model in
+  let solved = first.Registry.solved in
+  (* Same-shape installs share a context (and so this domain's arena):
+     each churn install below displaces one tree, whose lattices go back
+     to the free list as it is evicted, so after a short warm-up the
+     churn runs in recycled storage. *)
+  let arena =
+    Convolution.arena
+      (Convolution.Factor_tree.context (Convolution.tree solved))
   in
+  (* Snapshot before the churn: "a" itself will be evicted and its
+     lattices recycled, so the entry must not be read afterwards. *)
+  let reference_log_g = Convolution.log_normalization solved in
   ignore (Registry.install registry ~name:"b" model);
-  (* Capacity displacement parks the stalest tree: "a". *)
-  ignore (Registry.install registry ~name:"c" model);
-  (* The group, still holding the entry it found, updates and
-     reinstalls under the same name (this displaces "b" too). *)
-  let model' = Model.map_class model 0 (fun t -> Traffic.with_alpha t 0.45) in
-  let solved' =
-    Convolution.solve_delta ~recycle:true ~previous:held.Registry.solved model'
-  in
-  Registry.replace registry ~name:"a"
-    { Registry.model = model'; solved = solved' };
-  let expected = blocking_bits solved' in
-  check_int "only the dead tree is recycled" 1
-    (Registry.recycle_evicted registry);
-  (* Churn installs draw on the recycled free lists; had the parked
-     pre-delta "a" been recycled too, these solves would overwrite
-     lattices the live "a" still reads. *)
-  for i = 0 to 5 do
-    check_bool "a stays resident" true
-      (Option.is_some (Registry.find registry "a"));
-    ignore (Registry.install registry ~name:(Printf.sprintf "r%d" i) model);
-    ignore (Registry.recycle_evicted registry : int)
+  check_int "nothing evicted below capacity" 0 (evictions registry);
+  let created_after_warmup = ref 0 in
+  let warm = 2 in
+  for i = 0 to 9 do
+    ignore (Registry.install registry ~name:(Printf.sprintf "n%d" i) model);
+    if i = warm then created_after_warmup := Convolution.Arena.created arena
   done;
-  match Registry.find registry "a" with
-  | None -> Alcotest.fail "a must still be resident"
-  | Some { Registry.solved; _ } ->
-      check_bool "live tree unharmed by the drain" true
-        (blocking_bits solved = expected)
-
-let test_registry_drain_keeps_newest_generation () =
-  (* The same name displaced twice between drains: only the newest
-     parked generation is recycled — an older generation may share
-     nodes with every newer tree built from it. *)
-  let registry = Registry.create ~capacity:2 () in
-  let model = small_model () in
-  ignore (Registry.install registry ~name:"a" model);
-  ignore (Registry.install registry ~name:"b" model);
-  ignore (Registry.install registry ~name:"c" model) (* parks "a" *);
-  ignore (Registry.install registry ~name:"a" model) (* parks "b" *);
-  ignore (Registry.install registry ~name:"d" model) (* parks "c" *);
-  ignore (Registry.install registry ~name:"e" model) (* parks "a" again *);
-  (* Parked newest-first: a (2nd gen), c, b, a (1st gen).  "a" is dead
-     at drain time, so its newest generation recycles and the older
-     one is dropped. *)
-  check_int "one generation per dead name" 3
-    (Registry.recycle_evicted registry)
-
-let test_registry_remove_drops_parked () =
-  (* A re-solve that recycles the held tree and then fails: the batcher
-     removes the name, but a capacity eviction in another group may
-     already have parked that tree.  The drain must drop it — its
-     superseded nodes are on the free list already. *)
-  let registry = Registry.create ~capacity:2 () in
-  let model = small_model () in
-  ignore (Registry.install registry ~name:"a" model);
-  let held =
-    match Registry.find registry "a" with
-    | Some entry -> entry
-    | None -> Alcotest.fail "a must be resident"
-  in
-  ignore (Registry.install registry ~name:"b" model);
-  ignore (Registry.install registry ~name:"c" model) (* parks "a" *);
-  let model' = Model.map_class model 0 (fun t -> Traffic.with_alpha t 0.45) in
-  ignore
-    (Convolution.solve_delta ~recycle:true ~previous:held.Registry.solved
-       model');
-  Registry.remove registry "a";
-  check_int "the removed name's parked tree is not recycled" 0
-    (Registry.recycle_evicted registry);
-  check_bool "a stays absent" true (Option.is_none (Registry.find registry "a"))
+  check_int "every churn install displaced one tree" 10
+    (evictions registry);
+  check_int "capacity held" 2 (Registry.size registry);
+  check_int "arena creations plateau under churn" !created_after_warmup
+    (Convolution.Arena.created arena);
+  check_bool "recycled lattices are reused" true
+    (Convolution.Arena.reused arena > 0);
+  (* Recycling is bit-invisible: a solve drawing on the recycled free
+     list matches the solve that ran before any eviction. *)
+  let last, _ = Registry.install registry ~name:"last" model in
+  check_bool "post-churn solve bit-identical" true
+    (Int64.equal
+       (Int64.bits_of_float
+          (Convolution.log_normalization last.Registry.solved))
+       (Int64.bits_of_float reference_log_g))
 
 (* ---------- batcher ---------- *)
 
@@ -1265,14 +1172,14 @@ let test_flushed_resolve_drops_the_tree () =
       ("delta", Protocol.Delta { tree = "t"; changes = to_heavy });
     ]
 
-(* Random windows of every tree op, including unknown trees, classes
-   out of range, mismatched weights, invalid rates, a tiny registry and
-   the flushed heavy model, run back to back on one registry: execute
-   never raises, and every request gets exactly one response carrying
-   its id. *)
+(* Random windows of every tree op over four names, including unknown
+   trees, classes out of range, mismatched weights, invalid rates, a
+   registry of capacity 1 to 4 and the flushed heavy model, run back to
+   back on one registry: execute never raises, and every request gets
+   exactly one response carrying its id. *)
 let window_gen =
   let open QCheck2.Gen in
-  let tree = oneofl [ "a"; "b"; "c" ] in
+  let tree = oneofl [ "a"; "b"; "c"; "d" ] in
   let model = oneofl [ small_model (); heavy_light; heavy ] in
   let weights =
     let* n = int_range 0 3 in
@@ -1302,7 +1209,7 @@ let window_gen =
         return Protocol.Stats;
       ]
   in
-  let* capacity = opt (int_range 1 2) in
+  let* capacity = opt (int_range 1 4) in
   let* windows =
     list_size (int_range 1 4)
       (map
@@ -1329,6 +1236,132 @@ let execute_never_raises =
                  && Option.is_some (Json.member "ok" json))
                requests outcome.Batcher.responses)
         windows)
+
+(* The same windows served once as batches and once one request at a
+   time, each on its own registry: every response but [stats] (whose
+   timings differ) is byte-identical, and so are the registries'
+   entries, hits, misses and evictions at the end.  Unbounded windows
+   fan out over two domains; a capacity at or below the four names
+   makes windows evict. *)
+let batched_equals_one_at_a_time_under_capacity =
+  QCheck2.Test.make ~name:"batched equals one-at-a-time under capacity"
+    ~count:40 window_gen (fun (capacity, windows) ->
+      let batched = Registry.create ?capacity ()
+      and single = Registry.create ?capacity () in
+      let telemetry = Telemetry.create () in
+      let lines registry requests =
+        let outcome =
+          Batcher.execute ~domains:2 ~registry ~telemetry requests
+        in
+        Array.map Protocol.response_to_line outcome.Batcher.responses
+      in
+      List.iter
+        (fun requests ->
+          let together = lines batched requests
+          and apart =
+            Array.map (fun r -> (lines single [| r |]).(0)) requests
+          in
+          Array.iteri
+            (fun i (req : Protocol.request) ->
+              let timed =
+                match req.Protocol.query with
+                | Protocol.Stats -> true
+                | _ -> false
+              in
+              if (not timed) && not (String.equal together.(i) apart.(i))
+              then
+                QCheck2.Test.fail_reportf
+                  "response %d differs:@.batched: %s@.one at a time: %s" i
+                  together.(i) apart.(i))
+            requests)
+        windows;
+      let stats registry = Json.to_string (Registry.stats_json registry) in
+      if not (String.equal (stats batched) (stats single)) then
+        QCheck2.Test.fail_reportf
+          "registries differ:@.batched: %s@.one at a time: %s" (stats batched)
+          (stats single);
+      true)
+
+(* A registry of capacity 2 holding the trees [setup] installs, one
+   request per batch. *)
+let registry_after setup =
+  let registry = Registry.create ~capacity:2 () in
+  Array.iter (fun r -> ignore (execute ~registry [| r |])) setup;
+  registry
+
+(* Each batch's responses on the wire, batch after batch. *)
+let serve_batches registry batches =
+  Array.concat
+    (List.map
+       (fun batch ->
+         let outcome, _ = execute ~registry batch in
+         Array.map Protocol.response_to_line outcome.Batcher.responses)
+       batches)
+
+let check_as_one_at_a_time label ~setup batches =
+  let batched = serve_batches (registry_after setup) batches in
+  let single =
+    serve_batches (registry_after setup)
+      (List.concat_map
+         (fun batch -> Array.to_list (Array.map (fun r -> [| r |]) batch))
+         batches)
+  in
+  Alcotest.(check (array string))
+    (label ^ ": as one at a time")
+    single batched
+
+let test_eviction_in_arrival_order () =
+  (* [z]'s install evicts [y], the least recently used tree, before the
+     read queued behind it: that read must answer "unknown tree" as it
+     does one request at a time, whatever order the names sort in. *)
+  let model = small_model () in
+  let setup =
+    [| solve_request ~tree:"y" 0 model; solve_request ~tree:"x" 1 model |]
+  in
+  let batch =
+    [|
+      solve_request ~tree:"z" 2 model;
+      request 3 (Protocol.Blocking { tree = "y" });
+    |]
+  in
+  let registry = registry_after setup in
+  let outcome, _ = execute ~registry batch in
+  check_oks "solve z, blocking y" [ true; false ] outcome;
+  check_int "z displaced y" 1 (evictions registry);
+  check_as_one_at_a_time "solve z, blocking y" ~setup [ batch ]
+
+let test_bounded_batch_keeps_recency () =
+  (* A read-only batch over two trees of a bounded registry.  One at a
+     time, [b] is read last, so the next install evicts [a]; the batched
+     registry must agree.  Serving the batch tree group by tree group
+     (on any number of domains) would read [a] last in the second
+     order, whose [b] group comes first, and leave [a] the most
+     recent. *)
+  let model = small_model () in
+  let setup =
+    [| solve_request ~tree:"a" 0 model; solve_request ~tree:"b" 1 model |]
+  in
+  let install_c = [| solve_request ~tree:"c" 20 model |]
+  and read_a = [| request 21 (Protocol.Blocking { tree = "a" }) |] in
+  List.iter
+    (fun (label, reads) ->
+      let batch =
+        Array.of_list
+          (List.mapi
+             (fun i tree -> request (10 + i) (Protocol.Blocking { tree }))
+             reads)
+      in
+      let registry = registry_after setup in
+      let outcome, _ = execute ~registry batch in
+      check_oks label (List.map (fun _ -> true) reads) outcome;
+      ignore (execute ~registry install_c);
+      let read, _ = execute ~registry read_a in
+      check_oks (label ^ ": a was the LRU tree") [ false ] read;
+      check_as_one_at_a_time label ~setup [ batch; install_c; read_a ])
+    [
+      ("a x4, b", [ "a"; "a"; "a"; "a"; "b" ]);
+      ("b, a x4, b", [ "b"; "a"; "a"; "a"; "a"; "b" ]);
+    ]
 
 (* Reads answer from the hot tree's solved diagonal and allocate only
    their response: no solve, no lattice.  A warm [blocking] and a warm
@@ -1726,12 +1759,6 @@ let () =
           case "LRU eviction" test_registry_lru_eviction;
           case "eviction recycles into the arenas"
             test_registry_eviction_recycles;
-          case "eviction racing a replace is dropped at drain"
-            test_registry_eviction_race_with_replace;
-          case "drain recycles only the newest generation per name"
-            test_registry_drain_keeps_newest_generation;
-          case "remove keeps a parked tree off the arenas"
-            test_registry_remove_drops_parked;
         ] );
       ( "batcher",
         [
@@ -1747,6 +1774,10 @@ let () =
           case "flushed re-solve drops the tree"
             test_flushed_resolve_drops_the_tree;
           qcheck execute_never_raises;
+          qcheck batched_equals_one_at_a_time_under_capacity;
+          case "eviction in arrival order" test_eviction_in_arrival_order;
+          case "bounded batch keeps LRU recency"
+            test_bounded_batch_keeps_recency;
           case "warm reads allocate within their ceilings"
             test_read_allocation;
           case "response writer allocates within its ceilings"
