@@ -127,11 +127,6 @@ let () =
   let paths =
     match List.rev !paths with [] -> default_paths | paths -> paths
   in
-  List.iter
-    (fun path ->
-      if not (Sys.file_exists path) then
-        die (Printf.sprintf "crossbar_lint: no such path %s" path))
-    paths;
   let config =
     (* An explicit --config must parse; the conventional lint.json is
        optional but, when present, malformed is still an error — silently
@@ -161,6 +156,11 @@ let () =
     print_newline ();
     exit 0
   end;
+  List.iter
+    (fun path ->
+      if not (Sys.file_exists path) then
+        die (Printf.sprintf "crossbar_lint: no such path %s" path))
+    paths;
   (* Both stages share one parse of the sources. *)
   let loaded = Lint.Driver.load paths in
   let findings = Lint.Driver.lint_loaded ~config loaded in

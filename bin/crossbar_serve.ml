@@ -9,7 +9,8 @@
 
 open Cmdliner
 
-let serve socket capacity domains batch_limit =
+(* [--domains] is parsed and dropped: see [domains_arg]. *)
+let serve socket capacity (_ : int option) batch_limit =
   match
     (* A client that disconnects mid-write must not kill the daemon;
        write failures are handled per-connection instead. *)
@@ -20,7 +21,6 @@ let serve socket capacity domains batch_limit =
         {
           Crossbar_serve.Server.socket_path = socket;
           capacity;
-          domains;
           batch_limit;
         }
       ~input:Unix.stdin ~output:Unix.stdout ()
@@ -55,15 +55,11 @@ let domains_arg =
     value
     & opt (some int) None
     & info [ "domains" ] ~docv:"N"
+        ~deprecated:"it is ignored and will be removed."
         ~doc:
-          "Fan each batch's tree groups out over at most $(docv) domains \
-           (the engine pool's width).  Without --capacity only: with \
-           it, every batch is served in arrival order on one domain, so \
-           an evicted tree is recycled at once.  Banded \
-           combines inside a solve do not follow this flag: they split \
-           into CROSSBAR_DOMAINS bands, else one per recommended domain.  \
-           Default: CROSSBAR_DOMAINS, else the machine's recommended \
-           domain count.")
+          "Ignored.  Every batch is served in arrival order on the \
+           daemon's own domain; banded combines inside a solve split into \
+           CROSSBAR_DOMAINS bands, else one per recommended domain.")
 
 let batch_limit_arg =
   Arg.(
@@ -83,8 +79,8 @@ let cmd =
          root-to-leaf paths, and reads ($(b,blocking), \
          $(b,shadow_costs), $(b,admit)) are answered off the resident \
          diagonal with no solve at all.  Requests queued while a batch \
-         is served are grouped by tree and served together as the next \
-         batch, inline.  See docs/SERVE.md for the protocol.";
+         is served are served together as the next batch, inline, in \
+         arrival order.  See docs/SERVE.md for the protocol.";
     ]
   in
   Cmd.v

@@ -11,8 +11,7 @@
    Completion is the barrier callers build on: [run] returns only after
    it has observed every worker band's [done_] flag, which the worker
    sets after its job returned, so every write a band made is visible
-   to the caller and no band still reads the caller's data.  The serve
-   batcher's recycle-after-drain step relies on exactly this.
+   to the caller and no band still reads the caller's data.
 
    Dispatch protocol, per worker:
    - the dispatcher (holding the global [dispatch_lock]) writes the job

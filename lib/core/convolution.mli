@@ -248,8 +248,8 @@ type t
     row is summed on its first read (by {!concurrencies_at_depth}) and
     kept.  Those reads write the solve, so one solve may be read by only
     one domain at a time; hand it to another domain only through a
-    synchronising call (a pool task, a lock).  The serve registry's
-    per-tree sharding and [Engine.Sweep]'s per-chain walk keep to
+    synchronising call (a pool task, a lock).  The serve batcher's
+    one-domain batches and [Engine.Sweep]'s per-chain walk keep to
     this. *)
 
 val solve : Model.t -> t
@@ -282,7 +282,7 @@ val recycle : t -> unit
     acquires the recycled profiles instead of allocating.  The caller
     must guarantee nothing else references [t]: e.g. the serve registry
     recycles a tree as it is evicted, because the batcher serves every
-    batch that can evict on one domain. *)
+    batch on one domain. *)
 
 val model : t -> Model.t
 

@@ -2,7 +2,7 @@
 
     One reading of the [CROSSBAR_DOMAINS] override serves every layer
     that fans work out across OCaml 5 domains: [Engine.Pool] (sweep
-    points, batches, replications) and the banded combine kernel inside
+    points, replications) and the banded combine kernel inside
     {!Convolution} (row bands of a single large combine). *)
 
 val recommended : unit -> int

@@ -84,14 +84,12 @@ let default =
         "Telemetry.t";
         "Crossbar_engine.Cache.Memo.t"; "Crossbar_engine__Cache.Memo.t";
         "Cache.Memo.t"; "Memo.t";
-        "Crossbar_serve.Registry.t"; "Crossbar_serve__Registry.t";
-        "Registry.t";
       ];
     r12_boundaries =
       [
         "Mutex.protect"; "Stdlib.Mutex.protect"; "locked"; "Pool.run";
         "Band_pool.run"; "Band_pool.run_tasks"; "Domain.spawn";
-        "Domain.spawn_with"; "Batcher.run";
+        "Domain.spawn_with";
       ];
     r13_log_producers =
       [

@@ -53,12 +53,12 @@ type t = {
   r10_guarded_types : string list;
       (** Type-constructor paths R10 treats as safely-shareable in
           addition to [r8_sanctioned_types]: the repo's mutex-guarded
-          abstractions ([Telemetry.t], [Cache.Memo.t], [Registry.t]).
+          abstractions ([Telemetry.t], [Cache.Memo.t]).
           Captures of these types never need a [guarded=] annotation. *)
   r12_boundaries : string list;
       (** Functions whose function-literal arguments must not let a raise
-          escape (R12): lock wrappers, pool/domain spawners and the serve
-          batcher fan-out.  Matched like [r10_sinks]. *)
+          escape (R12): lock wrappers and pool/domain spawners.  Matched
+          like [r10_sinks]. *)
   r13_log_producers : string list;
       (** Call patterns whose float result is a log-domain magnitude. *)
   r13_linear_producers : string list;

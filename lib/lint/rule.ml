@@ -90,8 +90,7 @@ let title = function
       "closures crossing a domain boundary must not capture unsynchronized \
        mutable state (typed)"
   | R12 ->
-      "raise effects must not escape through pool, lock or batcher boundaries \
-       (typed)"
+      "raise effects must not escape through pool or lock boundaries (typed)"
   | R13 -> "no cross-domain float arithmetic: log, linear, mantissa (typed)"
 
 let rationale = function
@@ -130,10 +129,10 @@ let rationale = function
        without synchronisation, so only Atomic/Mutex-guarded (or explicitly \
        annotated) captures are sound"
   | R12 ->
-      "an exception thrown inside a lambda handed to Mutex.protect, \
-       Engine.Pool.run or the serve batcher unwinds mid-critical-section: \
-       the lock is released but registry/batch state is half-written, and \
-       every later query sees the poisoned tree"
+      "an exception thrown inside a lambda handed to Mutex.protect or \
+       Engine.Pool.run unwinds mid-critical-section: the lock is released \
+       but shared state is half-written, and every later reader sees it \
+       poisoned"
   | R13 ->
       "log-domain magnitudes, linear probabilities and rescaled mantissas \
        share the float type but not a unit; adding log to linear, \

@@ -8,7 +8,7 @@
       raises at body level, or calls one that does), then a check that no
       lambda handed to a configured [r12_boundaries] function carries the
       effect — a mid-boundary exception unwinds with locks released but
-      registry/batch state half-written;
+      shared state half-written;
     - {b R13}: a fixpoint resolving every function's return domain
       through [DCall] references, then a judgment of each recorded
       candidate site: log+linear addition, re-exponentiation of an

@@ -1,5 +1,3 @@
-module Json = Crossbar_engine.Json
-module Pool = Crossbar_engine.Pool
 module Clock = Crossbar_engine.Clock
 module Telemetry = Crossbar_engine.Telemetry
 module Model = Crossbar.Model
@@ -13,12 +11,14 @@ type outcome = { responses : Protocol.response array; shutdown : bool }
 (* ---------- per-query handlers ---------- *)
 
 (* Solver preconditions surface as Invalid_argument/Failure; both are
-   the client's problem, not the daemon's. *)
+   the client's problem, not the daemon's.  So is a model too large to
+   allocate: one solve line must not take the daemon down. *)
 let guard f =
   match f () with
   | response -> response
   | exception Invalid_argument message -> Error message
   | exception Failure message -> Error message
+  | exception Out_of_memory -> Error "out of memory"
 
 (* A solve or delta that fails may already have recycled the previous
    tree's lattices (the warm install, [solve_delta ~recycle:true]), so a
@@ -81,9 +81,9 @@ let handle_delta registry ~id ~tree changes =
       | Ok model' ->
           guard_solve registry ~tree (fun () ->
               (* [Registry.replace] below drops the previous tree, and
-                 requests for one tree are sharded onto a single worker,
-                 so the update may recycle the replaced nodes into this
-                 domain's arena. *)
+                 the batch is served on this one domain, so the update
+                 may recycle the replaced nodes into this domain's
+                 arena. *)
               let solved' =
                 Convolution.solve_delta ~recycle:true ~previous:solved model'
               in
@@ -165,16 +165,15 @@ let handle_admit registry ~id ~tree ~class_index ~weights =
                 Some (entry, true) )
           end)
 
-let stats_fields ~registry ~telemetry ~domains =
+let stats_fields ~registry ~telemetry =
   [
     ("telemetry", Telemetry.to_json telemetry);
     ("registry", Registry.stats_json registry);
-    ("domains", Json.Int domains);
   ]
 
 (* ---------- execution ---------- *)
 
-let handle ~registry ~telemetry ~domains (request : Protocol.request) =
+let handle ~registry ~telemetry (request : Protocol.request) =
   let started = Clock.now () in
   let id = request.Protocol.id in
   let outcome =
@@ -190,7 +189,7 @@ let handle ~registry ~telemetry ~domains (request : Protocol.request) =
     | Protocol.Stats ->
         Ok
           ( Protocol.Stats_ok
-              { id; fields = stats_fields ~registry ~telemetry ~domains },
+              { id; fields = stats_fields ~registry ~telemetry },
             None )
     | Protocol.Shutdown -> Ok (Protocol.Shutdown_ok { id }, None)
   in
@@ -219,66 +218,12 @@ let handle ~registry ~telemetry ~domains (request : Protocol.request) =
   | _ -> Telemetry.record_request telemetry);
   response
 
-let execute ?domains ~registry ~telemetry (requests : Protocol.request array) =
-  let width =
-    match domains with Some d -> d | None -> Pool.recommended_domains ()
-  in
-  (* Every slot is overwritten below. *)
-  let responses =
-    Array.make (Array.length requests)
-      (Protocol.error_response ~id:Json.Null "")
-  in
-  let serve i =
-    responses.(i) <- handle ~registry ~telemetry ~domains:width requests.(i)
-  in
-  let has_tree (request : Protocol.request) =
-    Option.is_some (Protocol.tree_name request.Protocol.query)
-  in
-  let serve_if keep =
-    Array.iteri (fun i request -> if keep request then serve i) requests
-  in
-  (* Group request indices by target tree, in first-arrival order of the
-     trees and arrival order within each. *)
-  let group () =
-    let by_tree : (string, int list ref) Hashtbl.t = Hashtbl.create 8 in
-    let trees = ref [] in
-    Array.iteri
-      (fun i request ->
-        Option.iter
-          (fun tree ->
-            match Hashtbl.find_opt by_tree tree with
-            | Some indices -> indices := i :: !indices
-            | None ->
-                let indices = ref [ i ] in
-                Hashtbl.add by_tree tree indices;
-                trees := indices :: !trees)
-          (Protocol.tree_name request.Protocol.query))
-      requests;
-    Array.of_list (List.rev_map (fun l -> List.rev !l) !trees)
-  in
-  (* Only an unbounded registry fans out: it never evicts, so each group
-     depends only on its own tree (and LRU recency cannot show). *)
-  let groups =
-    if width > 1 && Option.is_none (Registry.capacity registry) then group ()
-    else [||]
-  in
-  if Array.length groups < 2 then
-    (* Arrival order on this domain: exactly one-at-a-time serving, so
-       a capacity eviction happens where it would one request at a time
-       and never while another domain reads the evicted tree. *)
-    serve_if has_tree
-  else
-    (* The groups fan out, one per task, each in arrival order.
-       [groups] and [requests] are frozen before the pool starts, and
-       each response slot is written by the one task serving its
-       tree. *)
-    (* lint: guarded=groups,requests,responses — one task per slot *)
-    Pool.run ~domains:width ~tasks:(Array.length groups) (fun g ->
-        List.iter serve groups.(g))
-    |> ignore;
-  (* Stats/shutdown run on this domain after the tree requests, so a
-     stats response reflects the batch it arrived with. *)
-  serve_if (fun request -> not (has_tree request));
+let execute ?domains:_ ~registry ~telemetry (requests : Protocol.request array)
+    =
+  (* Arrival order on this domain, stats and shutdown included: a batch
+     answers exactly as its requests served one at a time, and an
+     evicted tree is recycled where no one else can read it. *)
+  let responses = Array.map (handle ~registry ~telemetry) requests in
   let shutdown =
     Array.exists
       (fun (request : Protocol.request) ->

@@ -7,9 +7,8 @@ type entry = { model : Model.t; solved : Convolution.t }
 
 type t = { memo : entry Memo.t; capacity : int option }
 
-(* The batcher fans a batch out over domains only when the registry is
-   unbounded, so an eviction runs on the one domain serving the batch
-   and nothing else reads the displaced tree: its lattices go straight
+(* The batcher serves every batch on one domain, so an eviction runs
+   where nothing else reads the displaced tree: its lattices go straight
    back to the arenas. *)
 let create ?capacity () =
   let on_evict _ entry = Convolution.recycle entry.solved in
@@ -33,7 +32,7 @@ let install t ~name model =
         (* [solve_delta ~recycle:true] returns the previous tree's
            superseded lattices to the arenas as it rebuilds; the old
            entry is dropped by [Memo.set] below, so nothing reads it
-           again (names shard trees — no cross-name sharing). *)
+           again (no two names share a tree). *)
         (Convolution.solve_delta ~recycle:true ~previous model, true)
     | Some { solved = previous; _ } ->
         (* Shape-changed reinstall: the resident tree is unreachable
@@ -47,7 +46,6 @@ let install t ~name model =
   (entry, from_hot)
 
 let size t = Memo.size t.memo
-let capacity t = t.capacity
 
 let stats_json t =
   Json.Assoc

@@ -11,9 +11,9 @@
     An evicted tree's lattices go back to the convolution arenas the
     moment it is displaced, so a capacity-bounded daemon under install
     churn recycles storage instead of growing the heap.  That is safe
-    because the batcher serves every batch of a capacity-bounded
-    registry on one domain ([Batcher.execute]): no other domain reads a
-    tree as it is evicted. *)
+    because the batcher serves every batch on one domain
+    ([Batcher.execute]): no other domain reads a tree as it is
+    evicted. *)
 
 type entry = {
   model : Crossbar.Model.t;
@@ -36,8 +36,8 @@ val install : t -> name:string -> Crossbar.Model.t -> entry * bool
     is [true]; a cold or shape-changing install performs a full build
     and returns [false].  Either warm path recycles the superseded
     tree's lattices into the convolution arenas (safe because the
-    batcher serves one tree's requests on one domain: nothing else
-    reads the entry being replaced).
+    batcher serves every batch on one domain: nothing else reads the
+    entry being replaced).
     @raise Failure as {!Crossbar.Convolution.solve}.  The warm paths
     recycle before the solve can fail, so after a failure [name] may
     still map to released lattices: the caller must {!remove} it. *)
@@ -57,9 +57,6 @@ val remove : t -> string -> unit
 
 val size : t -> int
 (** Resident tree count. *)
-
-val capacity : t -> int option
-(** The bound given at {!create}; [None] when unbounded. *)
 
 val stats_json : t -> Crossbar_engine.Json.t
 (** [{"entries":..,"capacity":..,"hits":..,"misses":..,"evictions":..}]

@@ -4,17 +4,11 @@ module Telemetry = Crossbar_engine.Telemetry
 type config = {
   socket_path : string option;
   capacity : int option;
-  domains : int option;
   batch_limit : int;
 }
 
 let default_config =
-  {
-    socket_path = None;
-    capacity = None;
-    domains = None;
-    batch_limit = 256;
-  }
+  { socket_path = None; capacity = None; batch_limit = 256 }
 
 module Lines = struct
   type t = { mutable carry : string; mutable discarding : bool }
@@ -164,10 +158,9 @@ let validate config =
   | Some c when c < 1 ->
       invalid_arg (Printf.sprintf "Server.run: capacity=%d < 1" c)
   | Some _ | None -> ());
-  match config.domains with
-  | Some d when d < 1 ->
-      invalid_arg (Printf.sprintf "Server.run: domains=%d < 1" d)
-  | Some _ | None -> ()
+  (* Banded combines read CROSSBAR_DOMAINS.  A malformed value is a
+     deploy error: refuse to start rather than answer solves with it. *)
+  ignore (Crossbar.Domains.recommended () : int)
 
 let run ?(config = default_config) ~input ~output () =
   validate config;
@@ -192,9 +185,7 @@ let run ?(config = default_config) ~input ~output () =
              match item with Request r -> Some r | Malformed _ -> None)
            (Array.to_list batch))
     in
-    let outcome =
-      Batcher.execute ?domains:config.domains ~registry ~telemetry requests
-    in
+    let outcome = Batcher.execute ~registry ~telemetry requests in
     (* [responses] is index-aligned with [requests]: walk it in step
        with the batch's well-formed items. *)
     let next = ref 0 in

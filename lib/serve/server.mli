@@ -7,10 +7,11 @@
 
     Batching: the loop blocks until at least one request is readable,
     then drains every complete line already buffered on any connection
-    (up to [batch_limit]) into one batch and serves it inline through
-    {!Batcher.execute} before reading again.  Under load, queries pile
-    up behind the batch being served and are served together off shared
-    hot trees; an idle daemon answers single requests immediately.
+    (up to [batch_limit]) into one batch and serves it inline, in
+    arrival order, through {!Batcher.execute} before reading again.
+    Under load, queries pile up behind the batch being served and are
+    served together off shared hot trees; an idle daemon answers single
+    requests immediately.
     Responses are written back to each request's own connection, in
     arrival order per connection.  How lines group into batches never
     changes a response: a batch answers byte for byte as the same
@@ -54,19 +55,11 @@ type config = {
           startup, unlinked on shutdown) *)
   capacity : int option;
       (** registry LRU capacity — resident hot trees ({!Registry.create}) *)
-  domains : int option;
-      (** most domains one batch's tree groups fan out over (default
-          {!Crossbar_engine.Pool.recommended_domains}).  Only an unbounded
-          registry fans out: with a [capacity], every batch is served in
-          arrival order on the loop's domain, and an evicted tree is
-          recycled at once ({!Batcher.execute}).  Banded combines follow
-          [CROSSBAR_DOMAINS] or the core count instead *)
   batch_limit : int;  (** max requests served as one batch *)
 }
 
 val default_config : config
-(** No socket, unbounded registry, default pool width,
-    [batch_limit = 256]. *)
+(** No socket, unbounded registry, [batch_limit = 256]. *)
 
 val run :
   ?config:config ->
@@ -80,5 +73,6 @@ val run :
     become [ok:false] responses); socket clients that disconnect
     mid-response are dropped silently.
     @raise Invalid_argument if [config] is inconsistent
-    ([batch_limit < 1], [capacity < 1], [domains < 1]).
+    ([batch_limit < 1], [capacity < 1]) or [CROSSBAR_DOMAINS] is
+    malformed ({!Crossbar.Domains.recommended}).
     @raise Unix.Unix_error if the socket path cannot be bound. *)

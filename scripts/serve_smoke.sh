@@ -4,13 +4,15 @@
 # through the Unix-domain socket.  Round 1 also sends an admit with its
 # fields reordered, spaces and an unknown field (read by the direct
 # request reader) and a line with a bad op (read by the JSON parser,
-# which writes the error).  A round at --capacity 1 --domains 2 then
-# sends one batch whose second solve evicts the first tree before a read
-# of it.  Any other ok:false response, missing response, or hung daemon
-# fails the script.
+# which writes the error).  A round at --capacity 1 then sends one batch
+# whose second solve evicts the first tree before a read of it.  An
+# out-of-memory round, under `ulimit -v`, sends a batch whose second
+# solve cannot allocate its lattice: it must answer ok:false and the
+# daemon must serve the rest of the batch.  Any other ok:false
+# response, missing response, or hung daemon fails the script.
 #
 # Usage: scripts/serve_smoke.sh [path-to-crossbar_serve.exe] [output.jsonl]
-# (the output file ends up holding the capacity round's responses)
+# (the output file ends up holding the out-of-memory round's responses)
 #
 # The output file defaults to a temp path removed on exit, so a smoke
 # run never leaves artifacts in the working tree (CI asserts this).
@@ -42,8 +44,7 @@ MODEL='{"inputs":8,"outputs":8,"classes":[{"name":"voice","bandwidth":1,"alpha":
 
 # ---- round 1: line protocol over stdin/stdout ----
 # The lines after stats follow a pause, so they reach the daemon in a
-# later batch: stats (which runs after its batch's tree queries) counts
-# only the five before it.
+# later batch; stats counts only the five requests before it.
 {
   printf '%s\n' \
     "{\"id\":1,\"op\":\"solve\",\"tree\":\"smoke\",\"model\":$MODEL}" \
@@ -57,7 +58,7 @@ MODEL='{"inputs":8,"outputs":8,"classes":[{"name":"voice","bandwidth":1,"alpha":
     '{ "weights": [1.0, 0.2], "x": [1, {"k": null}], "class": 1, "tree": "smoke", "op": "admit", "id": 8 }' \
     '{"id":"bad-op","op":"nope","tree":"smoke"}' \
     '{"id":7,"op":"shutdown"}'
-} | timeout 60 "$SERVE" --domains 2 > "$OUT"
+} | timeout 60 "$SERVE" > "$OUT"
 
 lines=$(wc -l < "$OUT")
 if [ "$lines" -ne 9 ]; then
@@ -132,7 +133,7 @@ printf '%s\n' \
   '{"id":3,"op":"blocking","tree":"a"}' \
   '{"id":4,"op":"stats"}' \
   '{"id":5,"op":"shutdown"}' |
-  timeout 60 "$SERVE" --capacity 1 --domains 2 > "$OUT" || status=$?
+  timeout 60 "$SERVE" --capacity 1 > "$OUT" || status=$?
 if [ "$status" -ne 0 ]; then
   echo "FATAL: the capacity round's daemon exited with status $status" >&2
   cat "$OUT" >&2
@@ -163,6 +164,51 @@ if ! grep '^{"id":4,' "$OUT" | grep -q '"registry":{[^}]*"evictions":1[,}]'; the
 fi
 echo "capacity round: the evicted tree is unknown to the read behind its eviction"
 
+# ---- out-of-memory round: one solve too large to allocate ----
+# Under a 1 GB address-space limit, in a subshell of its own, the
+# 40000x40000 lattice cannot be allocated: that solve answers ok:false
+# "out of memory" and leaves big absent, while tree a, the read of it
+# and the shutdown are served as usual.
+SMALL='{"inputs":4,"outputs":4,"classes":[{"name":"p","bandwidth":1,"alpha":0.3,"mu":1.0}]}'
+BIG='{"inputs":40000,"outputs":40000,"classes":[{"name":"p","bandwidth":1,"alpha":0.3,"mu":1.0}]}'
+status=0
+printf '%s\n' \
+  "{\"id\":1,\"op\":\"solve\",\"tree\":\"a\",\"model\":$SMALL}" \
+  "{\"id\":2,\"op\":\"solve\",\"tree\":\"big\",\"model\":$BIG}" \
+  '{"id":3,"op":"blocking","tree":"a"}' \
+  '{"id":4,"op":"blocking","tree":"big"}' \
+  '{"id":5,"op":"shutdown"}' |
+  (ulimit -v 1000000 && timeout 60 "$SERVE") > "$OUT" || status=$?
+if [ "$status" -ne 0 ]; then
+  echo "FATAL: the out-of-memory round's daemon exited with status $status" >&2
+  cat "$OUT" >&2
+  exit 1
+fi
+lines=$(wc -l < "$OUT")
+if [ "$lines" -ne 5 ]; then
+  echo "FATAL: expected 5 responses in the out-of-memory round, got $lines" >&2
+  cat "$OUT" >&2
+  exit 1
+fi
+for id in 1 3 5; do
+  if ! grep -q "^{\"id\":$id,\"ok\":true," "$OUT"; then
+    echo "FATAL: request $id of the out-of-memory round was not answered ok:true:" >&2
+    cat "$OUT" >&2
+    exit 1
+  fi
+done
+if ! grep -q '^{"id":2,"ok":false,"error":"out of memory"}$' "$OUT"; then
+  echo "FATAL: the oversized solve (id 2) did not answer out of memory:" >&2
+  cat "$OUT" >&2
+  exit 1
+fi
+if ! grep -q '^{"id":4,"ok":false,"error":"unknown tree \\"big\\"' "$OUT"; then
+  echo "FATAL: the read of the failed tree big (id 4) did not answer unknown tree:" >&2
+  cat "$OUT" >&2
+  exit 1
+fi
+echo "out-of-memory round: the oversized solve is refused and the daemon serves on"
+
 # ---- round 2: same stream through the Unix-domain socket ----
 if ! command -v python3 >/dev/null 2>&1; then
   echo "python3 not found; skipping the socket round"
@@ -170,7 +216,7 @@ if ! command -v python3 >/dev/null 2>&1; then
 fi
 
 SOCK="$(mktemp -u "${TMPDIR:-/tmp}/crossbar-serve-XXXXXX.sock")"
-timeout 60 "$SERVE" --socket "$SOCK" --domains 2 >/dev/null 2>&1 < /dev/null &
+timeout 60 "$SERVE" --socket "$SOCK" >/dev/null 2>&1 < /dev/null &
 DAEMON=$!
 
 for _ in $(seq 1 50); do

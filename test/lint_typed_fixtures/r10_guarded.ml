@@ -1,4 +1,4 @@
-(* Fixture: mirrors lib/serve's batcher escape — both captured arrays are
+(* Fixture: a pool fan-out over two captured arrays, both
    frozen before the pool starts, which the guarded= directive asserts.
    The regression test strips that directive and expects R10 to come back
    naming exactly these captures.  [noisy] shows the blunt per-line

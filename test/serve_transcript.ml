@@ -1,9 +1,8 @@
 (* Drives a fixed conversation through [Server.run] over a pair of pipes
    and prints it, one request line ("> ") and its response line ("< ")
-   at a time.  The domain count the batches fan out over is the only
-   argument.  `dune runtest` diffs the output at 1 and 2 domains against
-   serve_transcript.expected, so any change to the bytes the daemon puts
-   on the wire shows up there.
+   at a time.  It takes no argument.  `dune runtest` diffs the output
+   against serve_transcript.expected, so any change to the bytes the
+   daemon puts on the wire shows up there.
 
    The conversation holds every op but [stats] (its telemetry carries
    wall times), every error path, ids of every JSON kind, a class name
@@ -202,13 +201,11 @@ let write_all fd text =
 (* Serve the conversation; returns the response lines.  The requests go
    in from a domain of their own, so neither side blocks on a full
    pipe. *)
-let serve ~domains =
+let serve () =
   let in_r, in_w = Unix.pipe ~cloexec:false () in
   let out_r, out_w = Unix.pipe ~cloexec:false () in
   let server =
-    Domain.spawn (fun () ->
-        let config = { Server.default_config with domains = Some domains } in
-        Server.run ~config ~input:in_r ~output:out_w ())
+    Domain.spawn (fun () -> Server.run ~input:in_r ~output:out_w ())
   in
   let writer =
     Domain.spawn (fun () ->
@@ -237,12 +234,7 @@ let serve ~domains =
     (String.split_on_char '\n' (Buffer.contents buffer))
 
 let () =
-  let domains =
-    match Sys.argv with
-    | [| _; d |] -> int_of_string d
-    | _ -> failwith "usage: serve_transcript DOMAINS"
-  in
-  let responses = serve ~domains in
+  let responses = serve () in
   if List.length responses <> List.length answered then
     failwith "serve_transcript: one response per request line expected";
   List.iter2

@@ -172,6 +172,27 @@ let test_default_config_is_lint_json () =
     (In_channel.with_open_bin "../lint.json" In_channel.input_all)
     (Json.to_string (Config.to_json Config.default) ^ "\n")
 
+let test_dump_config_from_any_directory () =
+  (* --dump-config reads no source, so it must not need the lint paths:
+     from an empty directory it still prints the default, byte for
+     byte. *)
+  let exe = Filename.concat (Sys.getcwd ()) "../bin/crossbar_lint.exe" in
+  let dir = Filename.temp_dir "crossbar_lint_dump" "" in
+  let out = Filename.concat dir "dump.json" in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists out then Sys.remove out;
+      Sys.rmdir dir)
+    (fun () ->
+      check_int "exit code" 0
+        (Sys.command
+           (Printf.sprintf "cd %s && %s --dump-config > %s"
+              (Filename.quote dir) (Filename.quote exe) (Filename.quote out)));
+      Alcotest.(check string)
+        "dump from an empty directory is lint.json"
+        (In_channel.with_open_bin "../lint.json" In_channel.input_all)
+        (In_channel.with_open_bin out In_channel.input_all))
+
 let () =
   Alcotest.run "lint"
     [
@@ -195,5 +216,7 @@ let () =
         [
           case "rules flag refuses R0" test_rules_flag_refuses_syntax;
           case "default config is lint.json" test_default_config_is_lint_json;
+          case "dump-config from any directory"
+            test_dump_config_from_any_directory;
         ] );
     ]

@@ -188,8 +188,7 @@ let test_r10_guarded_and_suppressed () =
   let findings, _ = run ~dir [ Rule.R10 ] [ target ] in
   check_int "guarded: clean" 0 (List.length findings);
   (* Reverting the guarded= annotation must bring the escape back with
-     exactly its capture chain — the same regression the annotation in
-     lib/serve/batcher.ml is protected by. *)
+     exactly its capture chain. *)
   let text = In_channel.with_open_bin target In_channel.input_all in
   let stripped =
     String.split_on_char '\n' text
@@ -214,7 +213,6 @@ let annotated_sites =
     ("../lib/engine/pool.ml", "guarded=results");
     ("../lib/engine/sweep.ml", "guarded=points");
     ("../lib/engine/sweep.ml", "guarded=starts,points");
-    ("../lib/serve/batcher.ml", "guarded=groups,requests");
     ("../lib/core/band_pool.ml", "guarded=mb");
     ("../lib/core/convolution.ml", "guarded=ctx,left,right,result");
   ]

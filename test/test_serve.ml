@@ -755,7 +755,7 @@ let test_registry_eviction_recycles () =
 
 let execute ?(registry = Registry.create ()) requests =
   let telemetry = Telemetry.create () in
-  (Batcher.execute ~domains:2 ~registry ~telemetry requests, telemetry)
+  (Batcher.execute ~registry ~telemetry requests, telemetry)
 
 let request id query = { Protocol.id = Json.Int id; query }
 
@@ -1054,8 +1054,8 @@ let test_stats_counts_requests_and_solves_apart () =
   check_bool "solves field" true (Json.member "solves" json = Some (Json.Int 3))
 
 let test_multi_tree_batch_isolated () =
-  (* Two trees in one batch: groups run on separate workers yet each
-     response matches the corresponding single-tree run. *)
+  (* Two trees in one batch: each response matches the corresponding
+     single-tree run. *)
   let model_a = small_model () in
   let model_b =
     Model.square ~size:6
@@ -1225,9 +1225,7 @@ let execute_never_raises =
       let telemetry = Telemetry.create () in
       List.for_all
         (fun requests ->
-          let outcome =
-            Batcher.execute ~domains:2 ~registry ~telemetry requests
-          in
+          let outcome = Batcher.execute ~registry ~telemetry requests in
           Array.length outcome.Batcher.responses = Array.length requests
           && Array.for_all2
                (fun (req : Protocol.request) response ->
@@ -1238,38 +1236,58 @@ let execute_never_raises =
         windows)
 
 (* The same windows served once as batches and once one request at a
-   time, each on its own registry: every response but [stats] (whose
-   timings differ) is byte-identical, and so are the registries'
-   entries, hits, misses and evictions at the end.  Unbounded windows
-   fan out over two domains; a capacity at or below the four names
-   makes windows evict. *)
+   time, each on its own registry and telemetry: every response but
+   [stats] is byte-identical, and so are the registries' entries, hits,
+   misses and evictions at the end.  A [stats] response carries wall
+   times, so only its registry block and its request and solve counts
+   are compared: it counts the requests before it, mid-batch too.
+   Windows run unbounded or at a capacity; one at or below the four
+   names makes windows evict. *)
 let batched_equals_one_at_a_time_under_capacity =
   QCheck2.Test.make ~name:"batched equals one-at-a-time under capacity"
     ~count:40 window_gen (fun (capacity, windows) ->
       let batched = Registry.create ?capacity ()
       and single = Registry.create ?capacity () in
-      let telemetry = Telemetry.create () in
-      let lines registry requests =
-        let outcome =
-          Batcher.execute ~domains:2 ~registry ~telemetry requests
-        in
+      let batched_telemetry = Telemetry.create ()
+      and single_telemetry = Telemetry.create () in
+      let lines registry telemetry requests =
+        let outcome = Batcher.execute ~registry ~telemetry requests in
         Array.map Protocol.response_to_line outcome.Batcher.responses
+      in
+      (* The untimed part of a [stats] line. *)
+      let counted line =
+        let json =
+          match Json.of_string line with
+          | Ok json -> json
+          | Error m -> QCheck2.Test.fail_reportf "not JSON (%s): %s" m line
+        in
+        let member path =
+          List.fold_left
+            (fun json field -> Option.bind json (Json.member field))
+            (Some json) path
+        in
+        List.map
+          (fun path -> Option.map Json.to_string (member path))
+          [
+            [ "registry" ]; [ "telemetry"; "requests" ]; [ "telemetry"; "solves" ];
+          ]
       in
       List.iter
         (fun requests ->
-          let together = lines batched requests
+          let together = lines batched batched_telemetry requests
           and apart =
-            Array.map (fun r -> (lines single [| r |]).(0)) requests
+            Array.map
+              (fun r -> (lines single single_telemetry [| r |]).(0))
+              requests
           in
           Array.iteri
             (fun i (req : Protocol.request) ->
-              let timed =
+              let same =
                 match req.Protocol.query with
-                | Protocol.Stats -> true
-                | _ -> false
+                | Protocol.Stats -> counted together.(i) = counted apart.(i)
+                | _ -> String.equal together.(i) apart.(i)
               in
-              if (not timed) && not (String.equal together.(i) apart.(i))
-              then
+              if not same then
                 QCheck2.Test.fail_reportf
                   "response %d differs:@.batched: %s@.one at a time: %s" i
                   together.(i) apart.(i))
@@ -1334,9 +1352,8 @@ let test_bounded_batch_keeps_recency () =
   (* A read-only batch over two trees of a bounded registry.  One at a
      time, [b] is read last, so the next install evicts [a]; the batched
      registry must agree.  Serving the batch tree group by tree group
-     (on any number of domains) would read [a] last in the second
-     order, whose [b] group comes first, and leave [a] the most
-     recent. *)
+     would read [a] last in the second order, whose [b] group comes
+     first, and leave [a] the most recent. *)
   let model = small_model () in
   let setup =
     [| solve_request ~tree:"a" 0 model; solve_request ~tree:"b" 1 model |]
@@ -1366,17 +1383,16 @@ let test_bounded_batch_keeps_recency () =
 (* Reads answer from the hot tree's solved diagonal and allocate only
    their response: no solve, no lattice.  A warm [blocking] and a warm
    [shadow_costs] on a 32-port, 8-class tree, one request per batch on
-   one domain, where [Gc.minor_words] sees all of it.  Measured: 214
-   words per [blocking] (ceiling 428, 2x headroom) and 679 per
-   [shadow_costs] (ceiling 992, 1.46x): the shadow-cost array, the typed
-   response and the batch's own grouping structures.  Before responses
-   were typed, a [Json.t] tree took these to 516 and 2800.  The gate
-   assumes the release profile that dune-workspace selects. *)
+   one domain, where [Gc.minor_words] sees all of it.  Measured: 67
+   words per [blocking] (ceiling 428) and 532 per [shadow_costs]
+   (ceiling 992): the shadow-cost array, the typed response and the
+   batch's response array.  The gate assumes the release profile that
+   dune-workspace selects. *)
 let test_read_allocation () =
   let registry = Registry.create () in
   let telemetry = Telemetry.create () in
   let run requests =
-    ignore (Batcher.execute ~domains:1 ~registry ~telemetry requests)
+    ignore (Batcher.execute ~registry ~telemetry requests)
   in
   run [| solve_request 0 (multi_class_model ~classes:8 ~size:32 0.05) |];
   let weights = Array.init 8 (fun r -> 1.0 /. float_of_int (r + 1)) in
@@ -1409,7 +1425,7 @@ let test_write_allocation () =
   let telemetry = Telemetry.create () in
   let answer query =
     let outcome =
-      Batcher.execute ~domains:1 ~registry ~telemetry [| request 1 query |]
+      Batcher.execute ~registry ~telemetry [| request 1 query |]
     in
     outcome.Batcher.responses.(0)
   in
@@ -1456,9 +1472,7 @@ let run_server_over_pipes lines =
   let in_r, in_w = Unix.pipe ~cloexec:false () in
   let out_r, out_w = Unix.pipe ~cloexec:false () in
   let server =
-    Domain.spawn (fun () ->
-        let config = { Server.default_config with domains = Some 1 } in
-        Server.run ~config ~input:in_r ~output:out_w ())
+    Domain.spawn (fun () -> Server.run ~input:in_r ~output:out_w ())
   in
   let payload =
     Bytes.of_string (String.concat "" (List.map (fun l -> l ^ "\n") lines))
@@ -1514,7 +1528,7 @@ let test_server_matches_one_at_a_time () =
          (Array.map
             (fun req ->
               let outcome =
-                Batcher.execute ~domains:1 ~registry ~telemetry [| req |]
+                Batcher.execute ~registry ~telemetry [| req |]
               in
               Protocol.response_to_line outcome.Batcher.responses.(0) ^ "\n")
             requests))
@@ -1615,18 +1629,15 @@ let test_overlong_line_between_requests () =
     ]
 
 let test_server_config_validation () =
-  let config batch_limit capacity domains =
-    { Server.default_config with batch_limit; capacity; domains }
+  let config batch_limit capacity =
+    { Server.default_config with batch_limit; capacity }
   in
   let input = Unix.stdin and output = Unix.stdout in
   check_invalid_contains "batch_limit names its value"
     ~substring:"batch_limit=0" (fun () ->
-      Server.run ~config:(config 0 None None) ~input ~output ());
+      Server.run ~config:(config 0 None) ~input ~output ());
   check_invalid_contains "capacity names its value" ~substring:"capacity=-2"
-    (fun () ->
-      Server.run ~config:(config 16 (Some (-2)) None) ~input ~output ());
-  check_invalid_contains "domains names its value" ~substring:"domains=0"
-    (fun () -> Server.run ~config:(config 16 None (Some 0)) ~input ~output ())
+    (fun () -> Server.run ~config:(config 16 (Some (-2))) ~input ~output ())
 
 (* ---------- end to end through the executable ---------- *)
 
@@ -1654,6 +1665,7 @@ let test_end_to_end_stdin () =
    ^ "\n" ^ {|{"id":4,"op":"oops"}|} ^ "\n" ^ {|{"id":5,"op":"stats"}|} ^ "\n"
    ^ {|{"id":6,"op":"shutdown"}|} ^ "\n");
   close_out oc;
+  (* [--domains] is still accepted, and ignored. *)
   let command =
     Printf.sprintf "%s --domains 2 < %s > %s 2>/dev/null" serve_exe input
       output
@@ -1676,8 +1688,18 @@ let test_end_to_end_stdin () =
             true
             (match Json.member "ok" response with
             | Some (Json.Bool b) -> Bool.equal b expect_ok
-            | _ -> false))
+            | _ -> false);
+          if i = 4 then
+            check_bool "stats carries no domains field" true
+              (Json.member "domains" response = None))
     lines;
+  (* A malformed CROSSBAR_DOMAINS stops the daemon before it answers. *)
+  check_bool "malformed CROSSBAR_DOMAINS refused at startup" true
+    (Sys.command
+       (Printf.sprintf "CROSSBAR_DOMAINS=abc %s < %s > %s 2>/dev/null"
+          serve_exe input output)
+    <> 0);
+  check_int "nothing answered" 0 (List.length (read_lines output));
   Sys.remove input;
   Sys.remove output
 
@@ -1710,8 +1732,8 @@ let test_end_to_end_flushed_solve () =
       close_out oc;
       check_int (label ^ ": daemon exits cleanly") 0
         (Sys.command
-           (Printf.sprintf "%s --domains 1 %s < %s > %s 2>/dev/null" serve_exe
-              flags input output));
+           (Printf.sprintf "%s %s < %s > %s 2>/dev/null" serve_exe flags
+              input output));
       check_int
         (label ^ ": one response per request")
         (Array.length requests)
