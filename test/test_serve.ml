@@ -1269,7 +1269,9 @@ let batched_equals_one_at_a_time_under_capacity =
         List.map
           (fun path -> Option.map Json.to_string (member path))
           [
-            [ "registry" ]; [ "telemetry"; "requests" ]; [ "telemetry"; "solves" ];
+            [ "registry" ];
+            [ "telemetry"; "requests" ];
+            [ "telemetry"; "solves" ];
           ]
       in
       List.iter
