@@ -1059,9 +1059,13 @@ type diagonal = {
   top : int; (* H's support: the last term of any row's sum *)
   rows : Lattice.t; (* rows.(j) once [filled] says so; 0 before *)
   filled : Bytes.t; (* one state byte per row *)
-  walked : Bytes.t; (* [summed] at [depth] once its chains' rows are *)
 }
 
+(* [depths] memoizes [concurrencies_at_depth]: the per-class
+   concurrencies of each depth read so far, depth 0 seeded with the
+   array the measures were built from.  Like the diagonal's fill bytes
+   it is written by reads, under the same one-domain-per-solve rule.
+   Stored arrays are never handed out, only copies of them. *)
 type t = {
   model : Model.t;
   ctx : context;
@@ -1069,6 +1073,7 @@ type t = {
   diag : diagonal;
   log_omega : float; (* stored H = true H * exp log_omega *)
   measures : Measures.t;
+  mutable depths : (int * float array) list;
 }
 
 let unfilled = '\000'
@@ -1087,7 +1092,6 @@ let new_diagonal ctx root =
     top;
     rows;
     filled = Bytes.make (ctx.cap + 1) unfilled;
-    walked = Bytes.make (ctx.cap + 1) unfilled;
   }
 
 (* One row alone: a single chain of adds. *)
@@ -1204,16 +1208,13 @@ let want_chain (d : diagonal) model ~depth r =
   if (deepest + 1) * a <= budget then want d (depth + ((deepest + 1) * a))
 
 (* Sums the rows every class's chain at [depth] reads, row [depth]
-   among them, before the chains walk.  Once per depth: a warm read
-   finds its rows summed and skips the marking. *)
+   among them, before the chains walk.  Once per depth and solve: the
+   depth memo of [t] answers every later read of that depth. *)
 let fill_chains (d : diagonal) model ~depth =
-  if Bytes.get d.walked depth <> summed then begin
-    for r = 0 to Model.num_classes model - 1 do
-      want_chain d model ~depth r
-    done;
-    fill_wanted d;
-    Bytes.set d.walked depth summed
-  end
+  for r = 0 to Model.num_classes model - 1 do
+    want_chain d model ~depth r
+  done;
+  fill_wanted d
 
 (* Unified concurrency chain at reservation depth [d]: the diagonal entry
    row (d + j) is the scaled G(N1-d-j, N2-d-j), i.e. the normalisation
@@ -1288,7 +1289,15 @@ let of_tree (tree : Factor_tree.t) =
         concurrency_at_depth model diag ~depth:0 r)
   in
   let measures = Measures.of_concurrencies ~model ~non_blocking ~concurrency in
-  { model; ctx; tree; diag; log_omega = Lattice.log_scale h; measures }
+  {
+    model;
+    ctx;
+    tree;
+    diag;
+    log_omega = Lattice.log_scale h;
+    measures;
+    depths = [ (0, concurrency) ];
+  }
 
 let solve model = of_tree (Factor_tree.build model)
 
@@ -1333,9 +1342,16 @@ let banded_combine_count t = t.tree.Factor_tree.banded
 let concurrencies_at_depth t ~depth =
   if depth < 0 || depth > t.ctx.cap then
     invalid_arg "Convolution.concurrencies_at_depth: depth outside diagonal";
-  fill_chains t.diag t.model ~depth;
-  Array.init (Model.num_classes t.model) (fun r ->
-      concurrency_at_depth t.model t.diag ~depth r)
+  match List.assoc_opt depth t.depths with
+  | Some concurrencies -> Array.copy concurrencies
+  | None ->
+      fill_chains t.diag t.model ~depth;
+      let concurrencies =
+        Array.init (Model.num_classes t.model) (fun r ->
+            concurrency_at_depth t.model t.diag ~depth r)
+      in
+      t.depths <- (depth, concurrencies) :: t.depths;
+      Array.copy concurrencies
 
 (* Marginal weights for one class against its complement product: with
    T = H_{-r} and C = C_r,

@@ -246,9 +246,10 @@ type t
     [j] is the scaled [G(N1 - j, N2 - j)].  Diagonal rows are summed
     on demand: a solve sums the rows its measures read, and any other
     row is summed on its first read (by {!concurrencies_at_depth}) and
-    kept.  Those reads write the solve, so one solve may be read by only
-    one domain at a time; hand it to another domain only through a
-    synchronising call (a pool task, a lock).  The serve batcher's
+    kept, and so is each depth's result.  Those reads write the solve,
+    so one solve may be read by only one domain at a time; hand it to
+    another domain only through a synchronising call (a pool task, a
+    lock).  The serve batcher's
     one-domain batches and [Engine.Sweep]'s per-chain walk keep to
     this. *)
 
@@ -320,10 +321,13 @@ val concurrencies_at_depth : t -> depth:int -> float array
     per-pair BPP parameters, so [G_reduced(j) = diag.(depth + j)] and no
     re-solve is needed.  [depth = 0] reproduces the measures of {!solve}
     bit for bit; positive depths power {!Revenue.shadow_costs}, all [R]
-    of them from this single solve.  Rows of the diagonal that the solve
-    has not summed yet are summed on this first use and kept, so a
-    repeated call only walks the chains and allocates only its result;
-    the values never depend on which rows were read before.
+    of them from this single solve.  Memoized per solve: the first read
+    of a depth sums the diagonal rows its chains need (any the solve has
+    not summed yet), walks the chains and keeps the result, and every
+    later read of that depth — depth [0] from the start, since {!solve}
+    computed it for the measures — answers from the memo.  Each call
+    returns a fresh copy, so writing into it changes no later read; the
+    values never depend on which depths were read before.
     @raise Invalid_argument if [depth] lies outside [0 .. min N1 N2]. *)
 
 val log_g : t -> inputs:int -> outputs:int -> float

@@ -31,7 +31,9 @@ let shadow_cost ?algorithm model ~weights ~class_index =
    deeper entries of the SAME solved diagonal and
    W(N - dI) = sum_r w_r E_r evaluated at reservation depth d
    (Convolution.concurrencies_at_depth) — no re-solve per class. *)
-let solved_for ?solved model =
+let solved_for ?solved model ~weights =
+  if Array.length weights <> Model.num_classes model then
+    invalid_arg "Revenue.shadow_costs: weight count mismatch";
   match solved with
   | None -> Convolution.solve model
   | Some t ->
@@ -42,35 +44,55 @@ let solved_for ?solved model =
             "Revenue.shadow_costs: ~solved was produced from a different \
              model")
 
+(* W at reservation depth [depth], summed in class order.  The solve
+   memoizes each depth's concurrencies, so a repeated depth costs the
+   copy and this sum. *)
+let weighted_at t ~weights depth =
+  let e = Convolution.concurrencies_at_depth t ~depth in
+  let w = ref 0. in
+  for r = 0 to Array.length e - 1 do
+    w := !w +. (weights.(r) *. e.(r))
+  done;
+  !w
+
+(* Delta for a class of bandwidth [a], given W(N) = [w0].  A reduction
+   that empties the switch leaves no reduced return: the whole of W(N)
+   is at stake. *)
+let cost_at t model ~weights ~w0 a =
+  if Model.inputs model - a < 1 || Model.outputs model - a < 1 then w0
+  else w0 -. weighted_at t ~weights a
+
 let shadow_costs ?solved model ~weights =
-  let num = Model.num_classes model in
-  if Array.length weights <> num then
-    invalid_arg "Revenue.shadow_costs: weight count mismatch";
-  let t = solved_for ?solved model in
-  let value_at depth =
-    let e = Convolution.concurrencies_at_depth t ~depth in
-    let w = ref 0. in
-    Array.iteri (fun r er -> w := !w +. (weights.(r) *. er)) e;
-    !w
-  in
-  let w0 = value_at 0 in
-  let memo = Hashtbl.create 8 in
-  Array.init num (fun r ->
-      let a = Model.bandwidth model r in
-      if Model.inputs model - a < 1 || Model.outputs model - a < 1 then w0
-      else
-        let reduced =
-          match Hashtbl.find_opt memo a with
-          | Some v -> v
-          | None ->
-              let v = value_at a in
-              Hashtbl.add memo a v;
-              v
-        in
-        w0 -. reduced)
+  let t = solved_for ?solved model ~weights in
+  let w0 = weighted_at t ~weights 0 in
+  let costs = Array.make (Model.num_classes model) w0 in
+  for r = 0 to Array.length costs - 1 do
+    let a = Model.bandwidth model r in
+    (* Each distinct depth once: a class that shares an earlier class's
+       bandwidth shares its cost. *)
+    let first = ref 0 in
+    while Model.bandwidth model !first <> a do
+      incr first
+    done;
+    costs.(r) <-
+      (if !first < r then costs.(!first) else cost_at t model ~weights ~w0 a)
+  done;
+  costs
+
+let class_shadow_cost ?solved model ~weights ~class_index =
+  let t = solved_for ?solved model ~weights in
+  if class_index < 0 || class_index >= Model.num_classes model then
+    invalid_arg
+      (Printf.sprintf
+         "Revenue.class_shadow_cost: class %d out of range (model has %d \
+          classes)"
+         class_index (Model.num_classes model));
+  cost_at t model ~weights
+    ~w0:(weighted_at t ~weights 0)
+    (Model.bandwidth model class_index)
 
 let gradient ?solved model ~weights =
-  let t = solved_for ?solved model in
+  let t = solved_for ?solved model ~weights in
   let deltas = shadow_costs ~solved:t model ~weights in
   let measures = Convolution.measures t in
   Array.mapi

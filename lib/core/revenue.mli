@@ -30,13 +30,23 @@ val shadow_costs :
     {e single} convolution solve: {!reduced_model} preserves the
     per-pair parameters, so every reduced switch's measures are read off
     deeper entries of the already-solved diagonal
-    ({!Convolution.concurrencies_at_depth}) — [O(R)] chain walks instead
-    of [R + 1] independent solves.  Classes whose reduction would empty
+    ({!Convolution.concurrencies_at_depth}) — one chain walk per distinct
+    bandwidth, memoized by the solve, instead of [R + 1] independent
+    solves.  Classes whose reduction would empty
     the switch get [Delta_r = W(N)] (the whole return is at stake), where
     {!shadow_cost} raises.  Pass [?solved] to reuse an existing solve of
     {e the same} model (e.g. from a sweep point).
     @raise Invalid_argument on weight-count mismatch, or if [?solved]
     came from a different model (exact, bit-level comparison). *)
+
+val class_shadow_cost :
+  ?solved:Convolution.t -> Model.t -> weights:float array ->
+  class_index:int -> float
+(** [(shadow_costs ?solved model ~weights).(class_index)], bit for bit,
+    reading only the depths that class needs: [0] and its bandwidth
+    (both memoized by the solve).  The daemon's [admit] answers from it.
+    @raise Invalid_argument as {!shadow_costs}, with the same messages,
+    or if [class_index] is out of range. *)
 
 val gradient :
   ?solved:Convolution.t -> Model.t -> weights:float array ->

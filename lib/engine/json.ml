@@ -87,20 +87,30 @@ let exact_pow10 = function
   | 22 -> 1e22
   | k -> invalid_arg (Printf.sprintf "Json.exact_pow10: %d" k)
 
+(* [digit_pairs.[2 k]] and [digit_pairs.[2 k + 1]] spell [k], for k in
+   [0, 99]: the 17 digits are written two per division. *)
+let digit_pairs =
+  String.init 200 (fun i ->
+      Char.unsafe_chr (48 + if i land 1 = 0 then i / 20 else i / 2 mod 10))
+
 (* [%.17g] of a finite [x] with [fast_min < |x| < fast_limit], as glibc
    prints it: the exact product [|x| * 10^k = hi + lo] (an FMA recovers
    [lo]) is rounded to an integer, ties to even. *)
 let add_float_fast b x =
   let ax = Float.abs x in
+  (* floor (log10 |x|) or one below it: the binary exponent of the
+     normal double [ax] times log10 2 ~ 1233 / 2^12. *)
+  let e2 =
+    Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float ax) 52)
+    - 1023
+  in
   let e =
-    ref
-      (Int.max min_exponent
-         (Int.min max_exponent (int_of_float (Float.floor (Float.log10 ax)))))
+    ref (Int.max min_exponent (Int.min max_exponent ((e2 * 1233) asr 12)))
   in
   let digits = ref 0 and lo = ref 0. and floor_lo = ref 0. in
   let settled = ref false in
-  (* log10 can miss by one next to a power of ten; step towards the
-     exponent that puts the scaled value in [10^16, 10^17). *)
+  (* Step towards the exponent that puts the scaled value in
+     [10^16, 10^17). *)
   while not !settled do
     let scale = exact_pow10 (16 - !e) in
     let hi = ax *. scale in
@@ -121,18 +131,23 @@ let add_float_fast b x =
     digits := digits_low;
     incr e
   end;
-  (* Strip trailing zeros, then spell the [n] digits left. *)
+  (* Spell the 17 digits, the low 16 two at a time, then drop the
+     trailing zeros; the leading digit is never 0. *)
+  let text = Bytes.create 17 in
+  for k = 7 downto 0 do
+    let q = !digits / 100 in
+    let pair = 2 * (!digits - (q * 100)) in
+    Bytes.unsafe_set text ((2 * k) + 1) (String.unsafe_get digit_pairs pair);
+    Bytes.unsafe_set text ((2 * k) + 2)
+      (String.unsafe_get digit_pairs (pair + 1));
+    digits := q
+  done;
+  Bytes.unsafe_set text 0 (Char.unsafe_chr (48 + !digits));
   let n = ref 17 in
-  while !digits mod 10 = 0 do
-    digits := !digits / 10;
+  while Char.equal (Bytes.unsafe_get text (!n - 1)) '0' do
     decr n
   done;
   let n = !n and e = !e in
-  let text = Bytes.create n in
-  for i = n - 1 downto 0 do
-    Bytes.unsafe_set text i (Char.unsafe_chr (48 + (!digits mod 10)));
-    digits := !digits / 10
-  done;
   if x < 0. then Buffer.add_char b '-';
   if e < min_fixed_exponent then begin
     (* d[.ddd]e-0X: here e is -5 or -6. *)

@@ -114,18 +114,15 @@ let handle_blocking registry ~id ~tree =
                 { id; tree; classes = measures.Measures.per_class },
               Some (entry, true) ))
 
-let shadow_costs_of entry ~weights =
-  let { Registry.model; solved } = entry in
-  let costs = Revenue.shadow_costs ~solved model ~weights in
-  let revenue = Measures.revenue (Convolution.measures solved) ~weights in
-  (costs, revenue)
-
 let handle_shadow_costs registry ~id ~tree ~weights =
   match Registry.find registry tree with
   | None -> unknown_tree tree
-  | Some entry ->
+  | Some ({ Registry.model; solved } as entry) ->
       guard (fun () ->
-          let shadow_costs, revenue = shadow_costs_of entry ~weights in
+          let shadow_costs = Revenue.shadow_costs ~solved model ~weights in
+          let revenue =
+            Measures.revenue (Convolution.measures solved) ~weights
+          in
           Ok
             ( Protocol.Shadow_costs_ok { id; tree; revenue; shadow_costs },
               Some (entry, true) ))
@@ -133,21 +130,18 @@ let handle_shadow_costs registry ~id ~tree ~weights =
 let handle_admit registry ~id ~tree ~class_index ~weights =
   match Registry.find registry tree with
   | None -> unknown_tree tree
-  | Some entry ->
+  | Some ({ Registry.model; solved } as entry) ->
       guard (fun () ->
-          if
-            class_index < 0
-            || class_index >= Model.num_classes entry.Registry.model
-          then
+          if class_index < 0 || class_index >= Model.num_classes model then
             invalid_arg
               (Printf.sprintf "admit: class %d out of range (model has %d \
                                classes)"
-                 class_index
-                 (Model.num_classes entry.Registry.model))
+                 class_index (Model.num_classes model))
           else begin
-            let costs, _ = shadow_costs_of entry ~weights in
+            let shadow_cost =
+              Revenue.class_shadow_cost ~solved model ~weights ~class_index
+            in
             let weight = weights.(class_index) in
-            let shadow_cost = costs.(class_index) in
             (* Revenue-positive admission (paper Section 4): accept a
                class-r request iff the revenue it earns covers the
                revenue its port usage displaces. *)
@@ -173,7 +167,7 @@ let stats_fields ~registry ~telemetry =
 
 (* ---------- execution ---------- *)
 
-let handle ~registry ~telemetry (request : Protocol.request) =
+let serve ~registry ~telemetry (request : Protocol.request) =
   let started = Clock.now () in
   let id = request.Protocol.id in
   let outcome =
@@ -218,18 +212,15 @@ let handle ~registry ~telemetry (request : Protocol.request) =
   | _ -> Telemetry.record_request telemetry);
   response
 
+let is_shutdown (request : Protocol.request) =
+  match request.Protocol.query with
+  | Protocol.Shutdown -> true
+  | _ -> false
+
 let execute ?domains:_ ~registry ~telemetry (requests : Protocol.request array)
     =
   (* Arrival order on this domain, stats and shutdown included: a batch
      answers exactly as its requests served one at a time, and an
      evicted tree is recycled where no one else can read it. *)
-  let responses = Array.map (handle ~registry ~telemetry) requests in
-  let shutdown =
-    Array.exists
-      (fun (request : Protocol.request) ->
-        match request.Protocol.query with
-        | Protocol.Shutdown -> true
-        | _ -> false)
-      requests
-  in
-  { responses; shutdown }
+  let responses = Array.map (serve ~registry ~telemetry) requests in
+  { responses; shutdown = Array.exists is_shutdown requests }

@@ -102,8 +102,8 @@ let write_all fd bytes =
   in
   loop 0
 
-(* One write per response, as soon as it is ready: the client reads
-   each answer while the rest of the batch is written. *)
+(* One write per response, as soon as it is served: the client reads
+   each answer while the rest of the batch is served. *)
 let send conn response =
   let reply = conn.reply in
   Buffer.clear reply;
@@ -173,34 +173,23 @@ let run ?(config = default_config) ~input ~output () =
   let conns = ref [ primary ] in
   let pending : (conn * item) Queue.t = Queue.create () in
   (* Serve the oldest [batch_limit] pending items as one batch, on this
-     domain, and write each response to its own connection in arrival
-     order; true once the batch held a [shutdown]. *)
+     domain, in arrival order, writing each response to its connection
+     before the next item is served; true once the batch held a
+     [shutdown].  No input is read until the whole batch is answered. *)
   let flush_batch () =
-    let size = min config.batch_limit (Queue.length pending) in
-    let batch = Array.init size (fun _ -> Queue.pop pending) in
-    let requests =
-      Array.of_list
-        (List.filter_map
-           (fun (_, item) ->
-             match item with Request r -> Some r | Malformed _ -> None)
-           (Array.to_list batch))
-    in
-    let outcome = Batcher.execute ~registry ~telemetry requests in
-    (* [responses] is index-aligned with [requests]: walk it in step
-       with the batch's well-formed items. *)
-    let next = ref 0 in
-    Array.iter
-      (fun (conn, item) ->
-        let response =
-          match item with
-          | Malformed (id, message) -> Protocol.error_response ~id message
-          | Request _ ->
-              incr next;
-              outcome.Batcher.responses.(!next - 1)
-        in
-        send conn response)
-      batch;
-    outcome.Batcher.shutdown
+    let shutdown = ref false in
+    for _ = 1 to min config.batch_limit (Queue.length pending) do
+      let conn, item = Queue.pop pending in
+      let response =
+        match item with
+        | Malformed (id, message) -> Protocol.error_response ~id message
+        | Request request ->
+            if Batcher.is_shutdown request then shutdown := true;
+            Batcher.serve ~registry ~telemetry request
+      in
+      send conn response
+    done;
+    !shutdown
   in
   let accept_client fd =
     match Unix.accept fd with

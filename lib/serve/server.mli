@@ -8,12 +8,13 @@
     Batching: the loop blocks until at least one request is readable,
     then drains every complete line already buffered on any connection
     (up to [batch_limit]) into one batch and serves it inline, in
-    arrival order, through {!Batcher.execute} before reading again.
-    Under load, queries pile up behind the batch being served and are
-    served together off shared hot trees; an idle daemon answers single
-    requests immediately.
-    Responses are written back to each request's own connection, in
-    arrival order per connection.  How lines group into batches never
+    arrival order, one request at a time through {!Batcher.serve},
+    before reading again.  Under load, queries pile up behind the batch
+    being served and are served together off shared hot trees; an idle
+    daemon answers single requests immediately.
+    Each response is written to its request's own connection as soon
+    as that request is served, before the next one is, so responses
+    leave in arrival order per connection.  How lines group into batches never
     changes a response: a batch answers byte for byte as the same
     requests served one at a time. *)
 

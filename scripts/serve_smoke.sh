@@ -8,11 +8,13 @@
 # whose second solve evicts the first tree before a read of it.  An
 # out-of-memory round, under `ulimit -v`, sends a batch whose second
 # solve cannot allocate its lattice: it must answer ok:false and the
-# daemon must serve the rest of the batch.  Any other ok:false
-# response, missing response, or hung daemon fails the script.
+# daemon must serve the rest of the batch.  An admit round (python3
+# again) checks every class's admit against the shadow_costs response
+# of the same batch.  Any other ok:false response, missing response, or
+# hung daemon fails the script.
 #
 # Usage: scripts/serve_smoke.sh [path-to-crossbar_serve.exe] [output.jsonl]
-# (the output file ends up holding the out-of-memory round's responses)
+# (the output file ends up holding the last stdin round's responses)
 #
 # The output file defaults to a temp path removed on exit, so a smoke
 # run never leaves artifacts in the working tree (CI asserts this).
@@ -208,6 +210,49 @@ if ! grep -q '^{"id":4,"ok":false,"error":"unknown tree \\"big\\"' "$OUT"; then
   exit 1
 fi
 echo "out-of-memory round: the oversized solve is refused and the daemon serves on"
+
+# ---- admit round: admit answers from the same shadow costs ----
+# One batch: a solve of a switch with two bandwidths and a Pascal class,
+# its shadow costs, then an admit for every class.  Each admit's
+# shadow_cost must be the matching shadow_costs entry, as text, and its
+# decision weight >= shadow_cost.
+if command -v python3 >/dev/null 2>&1; then
+  ADMIT_MODEL='{"inputs":6,"outputs":6,"classes":[{"name":"voice","bandwidth":1,"alpha":0.8,"mu":1.0},{"name":"video","bandwidth":2,"alpha":0.4,"beta":0.2,"mu":0.5},{"name":"data","bandwidth":2,"alpha":0.3,"mu":2.0}]}'
+  WEIGHTS='[1.0,0.05,4.0]'
+  printf '%s\n' \
+    "{\"id\":1,\"op\":\"solve\",\"tree\":\"t\",\"model\":$ADMIT_MODEL}" \
+    "{\"id\":2,\"op\":\"shadow_costs\",\"tree\":\"t\",\"weights\":$WEIGHTS}" \
+    "{\"id\":3,\"op\":\"admit\",\"tree\":\"t\",\"class\":0,\"weights\":$WEIGHTS}" \
+    "{\"id\":4,\"op\":\"admit\",\"tree\":\"t\",\"class\":1,\"weights\":$WEIGHTS}" \
+    "{\"id\":5,\"op\":\"admit\",\"tree\":\"t\",\"class\":2,\"weights\":$WEIGHTS}" \
+    '{"id":6,"op":"shutdown"}' |
+    timeout 60 "$SERVE" > "$OUT"
+  python3 - "$OUT" <<'PYEOF'
+import json, sys
+
+with open(sys.argv[1]) as out:
+    # Floats stay text: the admit's shadow_cost must be written exactly
+    # as the shadow_costs entry is.
+    responses = [json.loads(line, parse_float=str) for line in out if line.strip()]
+if len(responses) != 6:
+    sys.exit(f"FATAL: expected 6 responses in the admit round, got {len(responses)}")
+failed = [r for r in responses if not r.get("ok")]
+if failed:
+    sys.exit(f"FATAL: an admit-round query failed: {failed}")
+costs = responses[1]["shadow_costs"]
+decisions = []
+for r in responses[2:5]:
+    c = r["class"]
+    if r["shadow_cost"] != costs[c]:
+        sys.exit(f"FATAL: admit class {c} shadow_cost {r['shadow_cost']} != shadow_costs[{c}] {costs[c]}")
+    if r["admit"] != (float(r["weight"]) >= float(r["shadow_cost"])):
+        sys.exit(f"FATAL: admit class {c} answered {r['admit']} for weight {r['weight']} and shadow cost {r['shadow_cost']}")
+    decisions.append(r["admit"])
+print(f"admit round: 3 admits match shadow_costs as text (decisions {decisions})")
+PYEOF
+else
+  echo "python3 not found; skipping the admit round"
+fi
 
 # ---- round 2: same stream through the Unix-domain socket ----
 if ! command -v python3 >/dev/null 2>&1; then

@@ -848,14 +848,37 @@ let test_json_float_writer_edges () =
       (fun f -> ulp_neighbours f ~ulps:3 @ ulp_neighbours (-.f) ~ulps:3)
       [ 1e-6; 1e16; 1e-5; 1e-4 ]
   in
+  (* The writer estimates the decimal exponent from the binary one and
+     corrects it: the doubles either side of each power of ten it
+     spells, and of the fast range's bounds, 1e-6 and 1e16. *)
+  let decades =
+    List.concat_map
+      (fun f -> [ Float.pred f; Float.succ f ])
+      (1e-6 :: 1e16 :: List.init 23 (fun i -> 10. ** float_of_int (i - 6)))
+  in
+  (* 17 digits ending in k zeros, k = 1 .. 16: exact integers of 17 - k
+     digits, and exact binary fractions of them, so the trailing-zero
+     scan stops at every position, the leading digit included. *)
+  let trailing_zeros =
+    List.concat_map
+      (fun k ->
+        let m =
+          float_of_int (12345678901234567 / int_of_float (10. ** float_of_int k))
+        in
+        List.map (fun j -> Float.ldexp m (-j)) [ 0; 1; 3; 7; 20; 40 ])
+      (List.init 16 (fun k -> k + 1))
+  in
+  let positives =
+    fixed @ powers_of_ten @ range_edges @ exact_ties @ decades
+    @ trailing_zeros
+  in
   List.iter
     (fun f ->
       if not (float_writer_matches f && float_writer_roundtrips f) then
         Alcotest.failf "float writer: %h gives %S, expected %S" f
           (Json.to_string (Json.Float f))
           (reference_float_literal f))
-    (fixed @ powers_of_ten @ range_edges @ exact_ties
-    @ List.map Float.neg exact_ties);
+    (positives @ List.map Float.neg positives);
   List.iter
     (fun f ->
       check_bool "non-finite is null" true

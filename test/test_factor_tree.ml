@@ -329,6 +329,46 @@ let test_shadow_cost_emptied_switch () =
        ~class_index:0)
     batched.(0)
 
+let test_class_shadow_cost_messages () =
+  let model =
+    Model.square ~size:4
+      ~classes:
+        [ Helpers.poisson 0.3; Helpers.poisson ~name:"wide" ~bandwidth:2 0.1 ]
+  in
+  let other =
+    Model.square ~size:4
+      ~classes:
+        [ Helpers.poisson 0.4; Helpers.poisson ~name:"wide" ~bandwidth:2 0.1 ]
+  in
+  let message f =
+    match f () with
+    | exception Invalid_argument message -> message
+    | _ -> Alcotest.fail "expected Invalid_argument"
+  in
+  List.iter
+    (fun (label, solved, weights) ->
+      Alcotest.(check string)
+        label
+        (message (fun () ->
+             ignore (Revenue.shadow_costs ?solved model ~weights)))
+        (message (fun () ->
+             ignore
+               (Revenue.class_shadow_cost ?solved model ~weights ~class_index:1))))
+    [
+      ("weight count mismatch", None, [| 1. |]);
+      ("weight count before ~solved", Some (Conv.solve other), [| 1. |]);
+      ("~solved from another model", Some (Conv.solve other), [| 1.; 1. |]);
+    ];
+  Alcotest.(check string)
+    "the mismatch message" "Revenue.shadow_costs: weight count mismatch"
+    (message (fun () ->
+         ignore
+           (Revenue.class_shadow_cost model ~weights:[| 1.; 2.; 3. |]
+              ~class_index:0)));
+  Helpers.check_invalid_contains "class out of range" ~substring:"class 2"
+    (fun () ->
+      ignore (Revenue.class_shadow_cost model ~weights:[| 1.; 1. |] ~class_index:2))
+
 let test_gradient_matches_gradient_rho () =
   List.iter
     (fun (label, model) ->
@@ -629,9 +669,9 @@ let test_diagonal_matches_division_recurrence () =
    bandwidths 1-4 give every remainder and strided roots.  Offered loads
    over five and a half decades give roots whose support lies below, at
    and above [cap - j] across the rows. *)
-let diagonal_gen =
+let switch_gen cap_gen =
   let open QCheck2.Gen in
-  let* cap = int_range 1 300 in
+  let* cap = cap_gen in
   let* extra = int_range 0 3 in
   let* wide_inputs = bool in
   let inputs = if wide_inputs then cap + extra else cap in
@@ -659,6 +699,8 @@ let diagonal_gen =
   in
   let* classes = flatten_l (List.init num_classes class_gen) in
   return (Model.create ~inputs ~outputs ~classes)
+
+let diagonal_gen = switch_gen (QCheck2.Gen.int_range 1 300)
 
 let prop_diagonal_matches_division_recurrence =
   QCheck2.Test.make ~count:100
@@ -710,6 +752,79 @@ let prop_depth_sequences_match_reference =
             (Conv.concurrencies_at_depth t ~depth))
         depths;
       check_diagonal_outputs label t;
+      true)
+
+(* A solve memoizes the concurrencies of each depth it was read at.
+   Every read, memo hit or not, must equal the first read of that depth
+   on a fresh solve, and must be a copy: scribbling over a returned
+   array changes no later read. *)
+let prop_depth_memo_matches_fresh_solves =
+  QCheck2.Test.make ~count:100
+    ~name:"memoized depth reads equal fresh solves and are copies"
+    ~print:(fun (model, depths) ->
+      Format.asprintf "%a depths %s" Model.pp model
+        (String.concat "," (List.map string_of_int depths)))
+    depth_sequence_gen
+    (fun (model, depths) ->
+      let t = Conv.solve model in
+      let read depth =
+        let expected = Conv.concurrencies_at_depth (Conv.solve model) ~depth in
+        let got = Conv.concurrencies_at_depth t ~depth in
+        Array.iteri
+          (fun r e ->
+            if not (floats_identical e got.(r)) then
+              Alcotest.failf "depth %d class %d: memoized %h, fresh %h" depth
+                r got.(r) e)
+          expected;
+        Array.fill got 0 (Array.length got) Float.nan
+      in
+      List.iter read depths;
+      List.iter read (List.rev depths);
+      check_measures "measures after scribbled reads" (Conv.measures t)
+        (Conv.measures (Conv.solve model));
+      true)
+
+(* [class_shadow_cost] is one entry of [shadow_costs], bit for bit: on
+   a fresh solve, on the same solve after [shadow_costs] read it, and
+   without [~solved].  1- and 2-port switches reach the classes whose
+   reduction empties the switch. *)
+let class_cost_gen =
+  let open QCheck2.Gen in
+  let* model = switch_gen (oneof [ int_range 1 2; int_range 1 40 ]) in
+  let* weights =
+    array_repeat (Model.num_classes model) (float_range 0.01 10.)
+  in
+  return (model, weights)
+
+let prop_class_shadow_cost_matches =
+  QCheck2.Test.make ~count:300
+    ~name:"class_shadow_cost equals its shadow_costs entry bit for bit"
+    ~print:(fun (model, weights) ->
+      Format.asprintf "%a weights %s" Model.pp model
+        (String.concat "," (Array.to_list (Array.map string_of_float weights))))
+    class_cost_gen
+    (fun (model, weights) ->
+      let fresh class_index =
+        Revenue.class_shadow_cost ~solved:(Conv.solve model) model ~weights
+          ~class_index
+      in
+      let t = Conv.solve model in
+      let costs = Revenue.shadow_costs ~solved:t model ~weights in
+      Array.iteri
+        (fun class_index cost ->
+          List.iter
+            (fun (how, got) ->
+              if not (floats_identical cost got) then
+                Alcotest.failf "class %d (%s): %h, shadow_costs %h" class_index
+                  how got cost)
+            [
+              ("fresh solve", fresh class_index);
+              ( "same solve",
+                Revenue.class_shadow_cost ~solved:t model ~weights ~class_index
+              );
+              ("no solve", Revenue.class_shadow_cost model ~weights ~class_index);
+            ])
+        costs;
       true)
 
 let test_diagonal_matches_under_rescaling () =
@@ -978,6 +1093,9 @@ let () =
             test_shadow_cost_emptied_switch;
           Helpers.case "batched gradient vs gradient_rho"
             test_gradient_matches_gradient_rho;
+          Helpers.qcheck prop_class_shadow_cost_matches;
+          Helpers.case "class_shadow_cost keeps shadow_costs' messages"
+            test_class_shadow_cost_messages;
         ] );
       ( "marginals",
         [
@@ -1002,6 +1120,7 @@ let () =
             test_diagonal_matches_under_rescaling;
           Helpers.qcheck prop_diagonal_matches_division_recurrence;
           Helpers.qcheck prop_depth_sequences_match_reference;
+          Helpers.qcheck prop_depth_memo_matches_fresh_solves;
         ] );
       ( "edge cases",
         [

@@ -997,7 +997,30 @@ let test_admit_semantics () =
   let net_gain = response_float "net_gain" admit_response in
   check_close "net gain is weight - shadow" (weight -. shadow) net_gain;
   check_bool "admit iff revenue-positive" true
-    (Json.member "admit" admit_response = Some (Json.Bool (weight >= shadow)))
+    (Json.member "admit" admit_response = Some (Json.Bool (weight >= shadow)));
+  (* A weight count that does not match the model is refused with the
+     message [shadow_costs] gives, and the tree stays installed. *)
+  let short = [| 1.0 |] in
+  let outcome, _ =
+    execute
+      [|
+        solve_request 0 model;
+        request 1 (Protocol.Shadow_costs { tree = "t"; weights = short });
+        request 2
+          (Protocol.Admit { tree = "t"; class_index = 0; weights = short });
+        request 3 (Protocol.Admit { tree = "t"; class_index = 0; weights });
+      |]
+  in
+  List.iter
+    (fun i ->
+      Alcotest.(check string)
+        (Printf.sprintf "response %d refuses the weight count" i)
+        ({|{"id":|} ^ string_of_int i
+        ^ {|,"ok":false,"error":"Revenue.shadow_costs: weight count mismatch"}|}
+        )
+        (Json.to_string (response_json outcome.Batcher.responses.(i))))
+    [ 1; 2 ];
+  check_bool "the tree still answers" true (ok outcome.Batcher.responses.(3))
 
 let test_stats_and_shutdown () =
   let model = small_model () in
@@ -1383,13 +1406,15 @@ let test_bounded_batch_keeps_recency () =
     ]
 
 (* Reads answer from the hot tree's solved diagonal and allocate only
-   their response: no solve, no lattice.  A warm [blocking] and a warm
-   [shadow_costs] on a 32-port, 8-class tree, one request per batch on
-   one domain, where [Gc.minor_words] sees all of it.  Measured: 67
-   words per [blocking] (ceiling 428) and 532 per [shadow_costs]
-   (ceiling 992): the shadow-cost array, the typed response and the
-   batch's response array.  The gate assumes the release profile that
-   dune-workspace selects. *)
+   their response: no solve, no lattice.  A warm [blocking], a warm
+   [shadow_costs] and a warm [admit] on a 32-port, 8-class tree, one
+   request per batch on one domain, where [Gc.minor_words] sees all of
+   it.  Measured: 67 words per [blocking] (ceiling 428), 146 per
+   [shadow_costs] (ceiling 292): the shadow-cost array, one copy of the
+   memoized concurrencies per depth, the typed response and the batch's
+   response array; and 110 per [admit] (ceiling 220), which copies
+   depth 0 and its class's depth.  The gate assumes the release profile
+   that dune-workspace selects. *)
 let test_read_allocation () =
   let registry = Registry.create () in
   let telemetry = Telemetry.create () in
@@ -1413,7 +1438,8 @@ let test_read_allocation () =
           label words ceiling)
     [
       ("blocking", 428., Protocol.Blocking { tree = "t" });
-      ("shadow_costs", 992., Protocol.Shadow_costs { tree = "t"; weights });
+      ("shadow_costs", 292., Protocol.Shadow_costs { tree = "t"; weights });
+      ("admit", 220., Protocol.Admit { tree = "t"; class_index = 3; weights });
     ]
 
 (* Writing a response into a reused buffer allocates only the digit
